@@ -66,11 +66,12 @@ def check_sec7(sec7: Any) -> List[str]:
     paper did, and convicts honest servers no more often than chance."""
     if sec7.world is None:
         return ["sec7: no ground truth to score against"]
-    failures = [
-        f"sec7: injected episode {entity!r} not detected in {year}"
-        for entity, year in TRACKING_EPISODES
-        if entity in sec7.world.ground_truth and entity not in sec7.detected_entities(year)
-    ]
+    failures = []
+    for entity, year in TRACKING_EPISODES:
+        if entity not in sec7.world.ground_truth:
+            failures.append(f"sec7: episode {entity!r} was never injected")
+        elif entity not in sec7.detected_entities(year):
+            failures.append(f"sec7: injected episode {entity!r} not detected in {year}")
     false_positives = {
         year: sec7.honest_false_positives(year) for year in sorted(sec7.likely_by_year)
     }
@@ -120,7 +121,36 @@ def compare_listings(cold: Mapping[str, Any], warm: Mapping[str, Any]) -> List[s
     return failures
 
 
+def check_clean_service(layers: Mapping[str, float]) -> List[str]:
+    """On a clean run (no faults, no crash profile) no epoch restarts, and
+    a restart over the warm store finds every stage in it."""
+    failures = []
+    if layers["store.restart_hit_ratio"] != 1.0:
+        failures.append(
+            f"restart: store hit ratio {layers['store.restart_hit_ratio']:.3f}, not 1.0"
+        )
+    if layers["supervise.restarts"] != 0:
+        failures.append(f"supervise: {layers['supervise.restarts']:g} restart(s) on a clean run")
+    return failures
+
+
 # -- service_cycle: individual responses --------------------------------------- #
+
+#: The request classes of the query stream, named as the router's route
+#: classes: per-onion dossier lookups, full views, ``If-None-Match``
+#: revalidations (answered 304), and the epoch listing or health check.
+ROUTE_CLASSES: Tuple[str, ...] = ("dossier", "view", "not_modified", "listing")
+
+
+def route_class(path: str, status: int) -> str:
+    """The route class of a request for ``path`` answered with ``status``."""
+    if status == 304:
+        return "not_modified"
+    if "/dossier/" in path:
+        return "dossier"
+    if path.startswith("/v1/epochs/"):
+        return "view"
+    return "listing"
 
 
 class Request(NamedTuple):
@@ -129,6 +159,10 @@ class Request(NamedTuple):
     path: str
     etag: Optional[str]
     expect: int
+
+    @property
+    def route(self) -> str:
+        return route_class(self.path, self.expect)
 
 
 class ResponseChecker:

@@ -1,14 +1,11 @@
 """Fresh-process entry point: every measured run of the system starts here.
 
-    python3 perfbench/child.py probe  --events F
-    python3 perfbench/child.py all    --events F --seed N --scale S
-    python3 perfbench/child.py serve  --events F --seed N --scale S --store D --port P
-    python3 perfbench/child.py inproc --events F --seed N --faces batch:S,service:S
-                                      --store D --port P --seconds N --query-seed N
-                                      [--trace T]
+    python3 perfbench/child.py probe --events F
+    python3 perfbench/child.py all   --events F --seed N --scale S [--trace T]
+    python3 perfbench/child.py serve --events F --seed N --scale S --epochs E
+                                     --store D --port P [--trace T]
 
-``--seed`` is the world seed passed to ``repro``; ``--query-seed`` draws
-the query stream.
+``--seed`` is the world seed passed to ``repro``.
 
 Each mode first imports ``repro`` and writes a ``ready`` event stamped
 with the monotonic clock, which the parent compares with its own clock
@@ -20,18 +17,18 @@ at spawn time to get the set-up time.  Events are JSON lines appended to
   paper's findings on the results it returned.
 - ``serve`` runs ``repro serve`` through ``repro.cli.main``, timing each
   epoch; the parent queries it over HTTP and stops it with SIGTERM.
-- ``inproc`` runs the given faces one after another in this process (the
-  service on a thread), so ``--trace`` can wrap every layer, the router
-  included.  Without ``--trace`` it is the untraced reference run.
+
+With ``--trace`` the layers are wrapped (see ``tracer.py``) and the
+spans are written to that file when the process ends; ``serve`` ends on
+SIGTERM.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
+import signal
 import sys
-import threading
 import time
 
 _START = time.monotonic()
@@ -44,11 +41,9 @@ import repro.service  # noqa: E402
 _READY = time.monotonic()
 
 import checks  # noqa: E402
-import loadgen  # noqa: E402
-from tracer import REQUEST_ID_HEADER, Tracer  # noqa: E402
+from tracer import Tracer  # noqa: E402
 
-#: The service face: two supervised epochs with pmap pools at 2 workers.
-EPOCHS = 2
+#: pmap pool size of the service face.
 SERVE_WORKERS = 2
 
 
@@ -93,15 +88,15 @@ def batch_face(seed: int, scale: float) -> dict:
     return {"batch_s": seconds, "attempted": 4, "failures": failures}
 
 
-def serve_argv(seed: int, scale: float, store: str, port: int) -> list:
+def serve_argv(args) -> list:
     return [
         "serve",
-        "--epochs", str(EPOCHS),
-        "--seed", str(seed),
-        "--scale", str(scale),
+        "--epochs", str(args.epochs),
+        "--seed", str(args.seed),
+        "--scale", str(args.scale),
         "--workers", str(SERVE_WORKERS),
-        "--store", store,
-        "--port", str(port),
+        "--store", args.store,
+        "--port", str(args.port),
     ]
 
 
@@ -116,131 +111,21 @@ def run_serve(args, events: Events) -> None:
         return record
 
     controller.run_epoch = timed_run_epoch
-    repro.cli.main(serve_argv(args.seed, args.scale, args.store, args.port))
-
-
-class InProcessServer:
-    """``repro serve`` on a thread, with its HTTP server captured."""
-
-    def __init__(self, argv: list) -> None:
-        self._argv = argv
-        self._bound = threading.Event()
-        self._server = None
-        self._thread = threading.Thread(target=self._main, daemon=True)
-        self.error = None
-
-    def _main(self) -> None:
-        serve = repro.service.serve
-
-        def capturing_serve(*args, **kwargs):
-            self._server = serve(*args, **kwargs)
-            self._bound.set()
-            return self._server
-
-        repro.service.serve = capturing_serve
-        try:
-            repro.cli.main(self._argv)
-        except Exception as exc:  # re-raised by start() in the main thread
-            self.error = exc
-            self._bound.set()
-        finally:
-            repro.service.serve = serve
-
-    def start(self) -> float:
-        """Run the epochs and bind; the seconds until the server is up."""
-        started = time.perf_counter()
-        self._thread.start()
-        self._bound.wait()
-        if self.error is not None:
-            raise self.error
-        return time.perf_counter() - started
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._thread.join()
-        self._server.server_close()
-
-
-def service_face(args, scale: float, tracer) -> dict:
-    """Cold start, a fixed-rate query stage, restart over the warm store."""
-    failures: list = []
-    argv = serve_argv(args.seed, scale, f"{args.store}-{scale}", args.port)
-
-    def phase(name: str) -> None:
-        if tracer is not None:
-            tracer.phase = name
-
-    phase("cold")
-    server = InProcessServer(argv)
-    cold_s = server.start()
-    send = loadgen.http_sender(args.port, id_header=REQUEST_ID_HEADER)
-    phase("query")
-    try:
-        _, _, body = send(checks.Request("/v1/epochs", None, 200), None)
-        listing = json.loads(body)
-        failures += checks.check_listing(listing, EPOCHS)
-        checker = checks.ResponseChecker(listing)
-        catalog, made = loadgen.warm_up(send, checker, failures)
-        rng = random.Random(args.query_seed)
-        count = round(loadgen.FIXED_RATE * args.seconds)
-        requests = loadgen.make_requests(rng, catalog, count)
-        stage = loadgen.run_stage(
-            send, checker, requests, loadgen.FIXED_RATE, rng, id_prefix=f"{scale}/"
-        )
-        failures += stage.failures
-    finally:
-        server.stop()
-
-    phase("restart")
-    server = InProcessServer(argv)
-    restart_s = server.start()
-    try:
-        _, _, body = send(checks.Request("/v1/epochs", None, 200), None)
-        failures += checks.compare_listings(listing, json.loads(body))
-    finally:
-        server.stop()
-    return {
-        "cold_s": cold_s,
-        "restart_s": restart_s,
-        "attempted": made + stage.attempted + 2,
-        "failures": failures,
-        "stage": stage,
-    }
-
-
-def run_inproc(args, events: Events, tracer) -> None:
-    faces = []
-    for spec in args.faces.split(","):
-        kind, scale = spec.split(":")
-        if kind == "batch":
-            faces.append(batch_face(args.seed, float(scale)))
-        else:
-            faces.append(service_face(args, float(scale), tracer))
-    stages = [face.pop("stage") for face in faces if "stage" in face]
-    fields = {"faces": faces}
-    if tracer is not None:
-        tracer.write(args.trace)
-        service_ms = {}
-        for stage in stages:
-            service_ms.update(stage.service_ms)
-        fields["layers"] = {
-            **tracer.layer_metrics(service_ms),
-            **loadgen.summarize(stages),
-        }
-    events.emit("inproc", **fields)
+    # SIGTERM unwinds serve_forever like an exception, so a traced
+    # server still writes its spans.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
+    repro.cli.main(serve_argv(args))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="child.py")
-    parser.add_argument("mode", choices=("probe", "all", "serve", "inproc"))
+    parser.add_argument("mode", choices=("probe", "all", "serve"))
     parser.add_argument("--events", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--query-seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=0.05)
-    parser.add_argument("--faces", default="")
+    parser.add_argument("--epochs", type=int)
     parser.add_argument("--store")
     parser.add_argument("--port", type=int)
-    parser.add_argument("--seconds", type=float, default=2.0)
     parser.add_argument("--trace")
     args = parser.parse_args(argv)
     events = Events(args.events)
@@ -249,12 +134,14 @@ def main(argv=None) -> int:
     if args.trace:
         tracer = Tracer()
         tracer.install()
-    if args.mode == "all":
-        events.emit("batch", **batch_face(args.seed, args.scale))
-    elif args.mode == "serve":
-        run_serve(args, events)
-    elif args.mode == "inproc":
-        run_inproc(args, events, tracer)
+    try:
+        if args.mode == "all":
+            events.emit("batch", **batch_face(args.seed, args.scale))
+        elif args.mode == "serve":
+            run_serve(args, events)
+    finally:
+        if tracer is not None:
+            tracer.write(args.trace)
     return 0
 
 

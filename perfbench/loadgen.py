@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from checks import Request, ResponseChecker
+from checks import ROUTE_CLASSES, Request, ResponseChecker
 
 #: Requests in flight at once.
 IN_FLIGHT = 2
@@ -29,22 +29,10 @@ IN_FLIGHT = 2
 LATENCY_LIMIT_MS = 100.0
 #: Per-request socket timeout.
 TIMEOUT_S = 5.0
-#: The offered rate at which p50/p99 are reported: below the knee (about
-#: 250/s for the scale-0.05 service on a 2-core machine, 130-200/s while
-#: the host is busy).
+#: The offered rate of the query stage: below the knee (about 250/s for
+#: the scale-0.05 service on a 2-core machine, 130-200/s while the host
+#: is busy).
 FIXED_RATE = 100.0
-#: The fixed ladder of offered rates searched for the highest rate that
-#: meets the limit; the step between the last passing and the first
-#: failing rung is then halved (geometrically) REFINE_STEPS times.
-LADDER: Tuple[float, ...] = (25.0, 40.0, 60.0, 100.0, 150.0, 225.0, 340.0, 500.0,
-                             750.0, 1100.0, 1700.0, 2500.0)
-REFINE_STEPS = 2
-#: Backlog "grows" when more than this share of a stage's requests (and
-#: at least BACKLOG_MIN) are still queued when its last request falls due:
-#: an offered rate 10% above capacity.  Bursts of a stable stream stay
-#: below it.
-BACKLOG_SHARE = 0.10
-BACKLOG_MIN = 10
 #: A name that is not base32, so no epoch can ever have observed it.
 UNKNOWN_ONION = "unknown0unknown0.onion"
 VIEW_KINDS = ("ranking", "ports", "topics", "dossiers", "delta")
@@ -133,29 +121,35 @@ def warm_up(send: Send, checker: ResponseChecker, failures: List[str]) -> Tuple[
 def make_requests(rng: random.Random, catalog: Catalog, count: int) -> List[Request]:
     """``count`` requests of the query mix, drawn from ``rng``.
 
-    About half are per-onion dossier lookups (1 in 25 of them for an
-    onion no epoch observed, which must 404); a quarter are full views;
-    a sixth are ``If-None-Match`` re-fetches of ETags seen in warm-up;
-    the rest are the epoch listing and the health check.
+    Each request's class is drawn with equal shares over the four route
+    classes: there is no recorded traffic to weight them by.  A dossier
+    lookup draws its onion from the epoch's own dossier list plus one
+    onion no epoch observed (which must 404); a view names a kind and an
+    epoch selector; a revalidation re-fetches, with ``If-None-Match``, a
+    path whose ETag the warm-up saw; a listing request is ``/v1/epochs``
+    or ``/healthz``.
     """
     selectors = sorted(catalog.onions)
     revalidate = sorted(catalog.etags.items())
     requests = []
     for _ in range(count):
-        draw = rng.random()
-        if draw < 0.02:
-            selector = rng.choice(SELECTORS)
-            requests.append(
-                Request(f"/v1/epochs/{selector}/dossier/{UNKNOWN_ONION}", None, 404)
-            )
-        elif draw < 0.50:
+        route = rng.choice(ROUTE_CLASSES)
+        if route == "dossier":
             selector = rng.choice(selectors)
-            onion = rng.choice(catalog.onions[selector])
-            requests.append(Request(f"/v1/epochs/{selector}/dossier/{onion}", None, 200))
-        elif draw < 0.75:
+            onions = catalog.onions[selector]
+            index = rng.randrange(len(onions) + 1)
+            if index == len(onions):
+                requests.append(
+                    Request(f"/v1/epochs/{selector}/dossier/{UNKNOWN_ONION}", None, 404)
+                )
+            else:
+                requests.append(
+                    Request(f"/v1/epochs/{selector}/dossier/{onions[index]}", None, 200)
+                )
+        elif route == "view":
             path = f"/v1/epochs/{rng.choice(SELECTORS)}/{rng.choice(VIEW_KINDS)}"
             requests.append(Request(path, None, 200))
-        elif draw < 0.92:
+        elif route == "not_modified":
             path, etag = rng.choice(revalidate)
             requests.append(Request(path, etag, 304))
         else:
@@ -168,12 +162,11 @@ class StageResult:
     """One open-loop stage at one offered rate."""
 
     rate: float
+    requests: Sequence[Request]
     latency_ms: List[float]
     queue_ms: List[float]
     late_ms: List[float]
     failures: List[str]
-    backlog_end: int
-    achieved_rps: float
     #: request id → client-side ms from sending to the last body byte.
     service_ms: Dict[str, float]
 
@@ -181,16 +174,16 @@ class StageResult:
     def attempted(self) -> int:
         return len(self.latency_ms)
 
-    def p(self, q: float) -> float:
-        return nearest_rank(self.latency_ms, q)
+    def latencies(self, route: Optional[str] = None) -> List[float]:
+        """Latency of every request, or of those of one route class."""
+        return [
+            latency
+            for request, latency in zip(self.requests, self.latency_ms)
+            if route is None or request.route == route
+        ]
 
-    @property
-    def backlog_grew(self) -> bool:
-        return self.backlog_end > max(BACKLOG_MIN, BACKLOG_SHARE * self.attempted)
-
-    @property
-    def meets_limit(self) -> bool:
-        return self.p(0.99) <= LATENCY_LIMIT_MS and not self.backlog_grew
+    def p(self, q: float, route: Optional[str] = None) -> float:
+        return nearest_rank(self.latencies(route), q)
 
 
 def run_stage(
@@ -211,13 +204,9 @@ def run_stage(
     service: Dict[str, float] = {}
     failures: List[str] = []
     lock = threading.Lock()
-    started = [0]
-    finished_at = [0.0]
 
     def work(index: int, due: float) -> None:
         begin = time.monotonic()
-        with lock:
-            started[0] += 1
         request = requests[index]
         request_id = f"{id_prefix}{index}"
         problem: Optional[str]
@@ -233,7 +222,6 @@ def run_stage(
         latency[index] = (end - due) * 1e3 if problem is None else math.inf
         with lock:
             service[request_id] = (end - begin) * 1e3
-            finished_at[0] = max(finished_at[0], end)
             if problem is not None:
                 failures.append(problem)
 
@@ -247,59 +235,37 @@ def run_stage(
                 time.sleep(wait)
             late[index] = max(0.0, time.monotonic() - due) * 1e3
             futures.append(pool.submit(work, index, due))
-        with lock:
-            backlog_end = count - started[0]
         for future in futures:
             future.result()
     return StageResult(
         rate=rate,
+        requests=requests,
         latency_ms=latency,
         queue_ms=queue,
         late_ms=late,
         failures=failures,
-        backlog_end=backlog_end,
-        achieved_rps=count / max(1e-9, finished_at[0] - origin),
         service_ms=service,
     )
 
 
-def find_max_rate(
-    probe: Callable[[float], StageResult], fixed: StageResult
-) -> Tuple[float, List[StageResult]]:
-    """The highest rate meeting the limit, searched from the fixed rate.
+def describe(stage: StageResult) -> List[str]:
+    """Printed lines: the stage's latency, per route class and overall.
 
-    Climbs (or, if the fixed rate already fails, descends) the fixed
-    ladder to the first rung that changes the verdict, then refines
-    between the two neighbouring rungs.  Returns the achieved request
-    rate of the highest passing stage (0 if none passed) and every probe
-    stage run.
+    Per-class figures do not depend on the mix's shares; the overall p99
+    does, and is what the latency limit is stated on.
     """
-    stages: List[StageResult] = []
-    rungs = sorted(set(LADDER) | {fixed.rate})
-    index = rungs.index(fixed.rate)
-    best: Optional[StageResult] = fixed if fixed.meets_limit else None
-    low: Optional[float] = fixed.rate if best else None
-    high: Optional[float] = None if best else fixed.rate
-    step = 1 if best else -1
-    index += step
-    while 0 <= index < len(rungs) and (high is None or low is None):
-        stage = probe(rungs[index])
-        stages.append(stage)
-        if stage.meets_limit:
-            best, low = stage, rungs[index]
-        else:
-            high = rungs[index]
-        index += step
-    if low is not None and high is not None:
-        for _ in range(REFINE_STEPS):
-            middle = math.sqrt(low * high)
-            stage = probe(middle)
-            stages.append(stage)
-            if stage.meets_limit:
-                best, low = stage, middle
-            else:
-                high = middle
-    return (best.achieved_rps if best else 0.0), stages
+    lines = [
+        f"query at {stage.rate:g}/s, {stage.attempted} requests, equal shares per "
+        f"route class: p99 {stage.p(0.99):.3f} ms overall (limit {LATENCY_LIMIT_MS:g} ms)"
+    ]
+    for route in ROUTE_CLASSES:
+        values = stage.latencies(route)
+        if values:
+            lines.append(
+                f"query {route}: {len(values)} requests, p50 "
+                f"{nearest_rank(values, 0.50):.3f} ms, p99 {nearest_rank(values, 0.99):.3f} ms"
+            )
+    return lines
 
 
 def summarize(stages: Sequence[StageResult]) -> Dict[str, float]:

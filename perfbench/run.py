@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     if len(outcome.failures) > 20:
         print(f"FAILED: ... {len(outcome.failures) - 20} more")
     for name, (value, unit) in outcome.metrics.items():
-        print(f"{name:34s} {value:14.6f} {unit}")
+        print(f"{name:38s} {value:14.6f} {unit}")
     failed = len(outcome.failures)
     print(
         json.dumps(

@@ -65,6 +65,39 @@ def test_missing_targets_are_skipped(monkeypatch):
 
 
 def test_layer_metrics_cover_the_declared_per_layer_set():
-    metrics = set(Tracer().layer_metrics({}))
+    metrics = set(tracer_module.layer_metrics([], [], {}))
     metrics |= {"loadgen.queue_ms", "loadgen.late_ms", "trace.overhead_frac"}
     assert metrics == {metric["name"] for metric in BENCHMARK["per_layer"]}
+
+
+def handle_span(span_id, path, status, start, end, request_id, size=10):
+    attrs = {"path": path, "request_id": request_id, "status": status, "bytes": size}
+    return (span_id, 0, "service.api.handle", start, end, attrs)
+
+
+def test_traces_of_several_processes_reduce_together(tmp_path):
+    cold, restart = Tracer(), Tracer()
+    cold.spans = [
+        handle_span(1, "/v1/epochs/0/ranking", 200, 0.0, 0.004, "0/0", size=300),
+        (2, 1, "service.api.etag", 0.001, 0.002, None),
+        handle_span(3, "/v1/epochs/0/ranking", 304, 1.0, 1.002, "0/1", size=0),
+        (4, 0, "population.generate", 2.0, 3.0, None),
+    ]
+    cold.counts.update({"store.misses": 14, "store.bytes_written": 1000})
+    restart.spans = [(1, 0, "population.generate", 0.0, 0.5, None)]
+    restart.counts.update({"store.hits": 14, "store.bytes_read": 1000})
+    for name, trace in (("cold", cold), ("restart", restart)):
+        trace.write(str(tmp_path / name))
+    traces = [Tracer.read(str(tmp_path / name)) for name in ("cold", "restart")]
+    assert traces[0].spans == cold.spans and traces[0].counts == cold.counts
+
+    metrics = tracer_module.layer_metrics(traces, traces[1:], {"0/0": 5.0, "0/1": 3.0})
+    assert metrics["population.generate_s"] == pytest.approx(1.5)
+    assert metrics["store.restart_hit_ratio"] == 1.0
+    assert metrics["store.misses"] == 14 and metrics["store.hits"] == 14
+    assert metrics["service.api.handle_ms.view"] == pytest.approx(4.0)
+    assert metrics["service.api.etag_ms.view"] == pytest.approx(1.0)
+    assert metrics["service.api.body_bytes.view"] == 300
+    assert metrics["service.http.overhead_ms.view"] == pytest.approx(1.0)
+    assert metrics["service.http.overhead_ms.not_modified"] == pytest.approx(1.0)
+    assert metrics["service.api.handle_ms.dossier"] == 0.0

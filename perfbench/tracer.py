@@ -15,8 +15,10 @@ the function by name.  A target missing from the tree (renamed or
 removed) is skipped and listed in the trace file, so the benchmark keeps
 running against any version of the program.
 
-Work done inside ``repro.parallel`` pool processes is not traced; it is
-part of the parent's ``parallel.pmap`` span.
+Each traced process writes its own trace file when it ends;
+:func:`layer_metrics` reduces the files of one run.  Work done inside
+``repro.parallel`` pool processes is not traced; it is part of the
+parent's ``parallel.pmap`` span.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ import sys
 import threading
 import time
 from collections import Counter, defaultdict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from checks import ROUTE_CLASSES, route_class
 
 #: (span name, "module:qualname") for every timed wrapper.
 SPAN_TARGETS: Tuple[Tuple[str, str], ...] = (
@@ -117,19 +121,8 @@ COUNTER_METRICS: Tuple[str, ...] = (
     "supervise.restarts",
 )
 
-#: Router route classes reported as ``service.api.handle_ms.<class>``.
-ROUTE_CLASSES: Tuple[str, ...] = ("view", "dossier", "not_modified", "listing")
-
-
-def route_class(path: str, status: int) -> str:
-    """The route class of one handled request (for the handle metrics)."""
-    if status == 304:
-        return "not_modified"
-    if "/dossier/" in path:
-        return "dossier"
-    if path.startswith("/v1/epochs/"):
-        return "view"
-    return "listing"
+#: Route classes whose responses carry a body.
+BODY_CLASSES: Tuple[str, ...] = tuple(cls for cls in ROUTE_CLASSES if cls != "not_modified")
 
 
 def _resolve(target: str) -> Tuple[Any, str, Any]:
@@ -149,9 +142,6 @@ class Tracer:
         #: (span id, parent id, name, start, end, attributes)
         self.spans: List[Tuple[int, int, str, float, float, Optional[dict]]] = []
         self.counts: Counter = Counter()
-        #: Free-form phase label the driver sets; store counters are also
-        #: kept per phase so the restart's hit ratio can be reported.
-        self.phase = ""
         self.missing: List[str] = []
         self._ids = itertools.count(1)
         self._local = threading.local()
@@ -239,9 +229,8 @@ class Tracer:
             kind, direction = (
                 ("misses", "written") if computed else ("hits", "read")
             )
-            for suffix in ("", "@" + tracer.phase):
-                tracer.counts[f"store.{kind}{suffix}"] += 1
-                tracer.counts[f"store.bytes_{direction}{suffix}"] += size
+            tracer.counts[f"store.{kind}"] += 1
+            tracer.counts[f"store.bytes_{direction}"] += size
             return result
 
         return wrapper
@@ -335,14 +324,11 @@ class Tracer:
         return totals
 
     def handled_requests(self) -> List[Dict[str, Any]]:
-        """Per-request router records: class, handle ms, body bytes, id."""
-        child_time: Dict[int, float] = defaultdict(float)
+        """Per-request router records: class, handle and ETag ms, body bytes, id."""
         etag_time: Dict[int, float] = defaultdict(float)
         for _, parent, name, start, end, _ in self.spans:
-            if parent:
-                child_time[parent] += end - start
-                if name == "service.api.etag":
-                    etag_time[parent] += end - start
+            if parent and name == "service.api.etag":
+                etag_time[parent] += end - start
         records = []
         for span_id, _, name, start, end, attrs in self.spans:
             if name != "service.api.handle" or not attrs or "status" not in attrs:
@@ -351,60 +337,15 @@ class Tracer:
                 {
                     "class": route_class(attrs["path"], attrs["status"]),
                     "ms": (end - start) * 1e3,
+                    "etag_ms": etag_time.get(span_id, 0.0) * 1e3,
                     "bytes": attrs["bytes"],
                     "request_id": attrs.get("request_id"),
                 }
             )
         return records
 
-    def layer_metrics(self, client_service_ms: Dict[str, float]) -> Dict[str, float]:
-        """Every per-layer metric except ``trace.overhead_frac``.
-
-        ``client_service_ms`` maps a request id to the client-side time
-        from sending the request to reading the last body byte; the HTTP
-        overhead is that time minus the router's handle time.
-        """
-        selfs = self.self_times()
-        calls = Counter(name for _, _, name, _, _, _ in self.spans)
-        metrics: Dict[str, float] = {}
-        for metric, names in SELF_TIME_METRICS.items():
-            metrics[metric] = sum(selfs.get(name, 0.0) for name in names)
-        for metric, name in CALL_COUNT_METRICS.items():
-            metrics[metric] = calls.get(name, 0)
-        for metric in COUNTER_METRICS:
-            metrics[metric] = self.counts.get(metric, 0)
-        hits = self.counts.get("store.hits@restart", 0)
-        looked_up = hits + self.counts.get("store.misses@restart", 0)
-        metrics["store.restart_hit_ratio"] = hits / looked_up if looked_up else 0.0
-
-        requests = self.handled_requests()
-        for cls in ROUTE_CLASSES:
-            times = [r["ms"] for r in requests if r["class"] == cls]
-            metrics[f"service.api.handle_ms.{cls}"] = (
-                statistics.fmean(times) if times else 0.0
-            )
-        etag_calls = calls.get("service.api.etag", 0)
-        metrics["service.api.etag_ms"] = (
-            selfs.get("service.api.etag", 0.0) * 1e3 / etag_calls if etag_calls else 0.0
-        )
-        metrics["service.api.body_bytes"] = (
-            statistics.fmean(r["bytes"] for r in requests) if requests else 0.0
-        )
-        handle_by_id = {
-            r["request_id"]: r["ms"] for r in requests if r["request_id"] is not None
-        }
-        overheads = [
-            client_ms - handle_by_id[request_id]
-            for request_id, client_ms in client_service_ms.items()
-            if request_id in handle_by_id
-        ]
-        metrics["service.http.overhead_ms"] = (
-            statistics.median(overheads) if overheads else 0.0
-        )
-        return metrics
-
     def write(self, path: str) -> None:
-        """Write every span and counter as JSON lines."""
+        """Write every counter and span as JSON lines."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(
                 json.dumps({"counts": dict(self.counts), "missing": self.missing}) + "\n"
@@ -423,3 +364,72 @@ class Tracer:
                     )
                     + "\n"
                 )
+
+    @classmethod
+    def read(cls, path: str) -> "Tracer":
+        """The spans and counters :meth:`write` wrote to ``path``."""
+        tracer = cls()
+        with open(path, encoding="utf-8") as handle:
+            head = json.loads(handle.readline())
+            tracer.counts.update(head["counts"])
+            tracer.missing = head["missing"]
+            for line in handle:
+                row = json.loads(line)
+                tracer.spans.append(
+                    (row["id"], row["parent"], row["name"], row["start"], row["end"], row["attrs"])
+                )
+        return tracer
+
+
+def _mean(values: Sequence[float]) -> float:
+    return statistics.fmean(values) if values else 0.0
+
+
+def layer_metrics(
+    traces: Sequence[Tracer],
+    restarts: Sequence[Tracer],
+    client_service_ms: Mapping[str, float],
+) -> Dict[str, float]:
+    """Every per-layer metric except the load generator's and the overhead.
+
+    ``traces`` are the trace files of every traced process of one run,
+    ``restarts`` those of the servers restarted over a warm store (also
+    in ``traces``).  ``client_service_ms`` maps a request id to the
+    client-side time from sending the request to reading the last body
+    byte; the HTTP overhead is that time minus the router's handle time.
+    """
+    selfs: Counter = Counter()
+    calls: Counter = Counter()
+    counts: Counter = Counter()
+    requests: List[Dict[str, Any]] = []
+    for trace in traces:
+        selfs.update(trace.self_times())
+        calls.update(name for _, _, name, _, _, _ in trace.spans)
+        counts.update(trace.counts)
+        requests += trace.handled_requests()
+    metrics: Dict[str, float] = {}
+    for metric, names in SELF_TIME_METRICS.items():
+        metrics[metric] = sum(selfs.get(name, 0.0) for name in names)
+    for metric, name in CALL_COUNT_METRICS.items():
+        metrics[metric] = calls.get(name, 0)
+    for metric in COUNTER_METRICS:
+        metrics[metric] = counts.get(metric, 0)
+    hits = sum(trace.counts.get("store.hits", 0) for trace in restarts)
+    misses = sum(trace.counts.get("store.misses", 0) for trace in restarts)
+    metrics["store.restart_hit_ratio"] = hits / (hits + misses) if hits + misses else 0.0
+
+    for cls in ROUTE_CLASSES:
+        handled = [r for r in requests if r["class"] == cls]
+        metrics[f"service.api.handle_ms.{cls}"] = _mean([r["ms"] for r in handled])
+        metrics[f"service.api.etag_ms.{cls}"] = _mean([r["etag_ms"] for r in handled])
+        if cls in BODY_CLASSES:
+            metrics[f"service.api.body_bytes.{cls}"] = _mean([r["bytes"] for r in handled])
+        overheads = [
+            client_service_ms[r["request_id"]] - r["ms"]
+            for r in handled
+            if r["request_id"] in client_service_ms
+        ]
+        metrics[f"service.http.overhead_ms.{cls}"] = (
+            statistics.median(overheads) if overheads else 0.0
+        )
+    return metrics

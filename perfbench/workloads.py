@@ -3,7 +3,7 @@
 The system has two faces, and every run measures both, each in fresh
 processes started through ``perfbench/child.py``:
 
-- the *batch* face: one cold ``repro all`` (workers 1, no store);
+- the *batch* face: cold ``repro all`` runs (workers 1, no store);
 - the *service* face: a cold ``repro serve --epochs 2 --workers 2`` over
   a fresh store, an open-loop HTTP query stream against it, then
   restarts over the warm store.
@@ -33,16 +33,29 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import checks
 import loadgen
+import tracer
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 CHILD = HERE / "child.py"
 
-#: Face order and scale per workload: the primary face runs first.
-WORKLOADS: Dict[str, Tuple[Tuple[str, float], ...]] = {
-    "batch_all": (("batch", 0.05), ("service", 0.01)),
-    "service_cycle": (("service", 0.05), ("batch", 0.01)),
+
+
+@dataclass(frozen=True)
+class Workload:
+    """The scale of each face, and which face the workload is about."""
+
+    primary: str
+    batch_scale: float
+    service_scale: float
+    #: Cold ``repro all`` runs per run; ``batch_s`` is their median.
+    batch_runs: int
+
+
+WORKLOADS: Dict[str, Workload] = {
+    "batch_all": Workload("batch", batch_scale=0.05, service_scale=0.01, batch_runs=2),
+    "service_cycle": Workload("service", batch_scale=0.01, service_scale=0.05, batch_runs=3),
 }
 #: The world every run measures: the reference seed of README and ROADMAP.
 #: ``--seed`` varies the query stream, not the world.  Generating a world
@@ -56,14 +69,16 @@ WORLD_SEED = 0
 #: set-up time is a median over several fresh processes.
 SETUP_PROBES = 3
 #: Restarts over the warm store per service face (restart_s is their median).
-RESTARTS = 3
+RESTARTS = 5
+#: Epochs each service face computes before it serves.
+EPOCHS = 2
 #: Seconds a child may take before it is killed and the run fails.
 CHILD_TIMEOUT_S = 170.0
-#: Shares of ``--seconds`` for the fixed-rate query stage (1,000 samples
-#: at 20 s, so p99 has 10 beyond it) and for each rung of the rate ladder.
-FIXED_SHARE = 1 / 2
-RUNG_SHARE = 1 / 16
-#: Length of the traced run's query stage, in seconds at the fixed rate.
+#: Share of ``--seconds`` the query stage lasts: 1,000 requests at the
+#: declared 20 s, so the stage's p99 has 10 samples beyond it.
+QUERY_SHARE = 1 / 2
+#: The traced run's query stage, in seconds.  It restarts the service
+#: once and runs ``repro all`` once.
 TRACED_QUERY_SECONDS = 5.0
 
 
@@ -206,18 +221,64 @@ def _args(**extra: object) -> List[str]:
     return args
 
 
-class Run:
-    """One untraced run: the faces in order, then the metrics."""
+def schedule(restarts: int, batch_runs: int) -> List[str]:
+    """The service's cold start and restarts, with the batch runs spread
+    evenly among them: the first before the cold start and the last at
+    the end (a single one in the middle).
 
-    def __init__(self, seed: int, seconds: float, work: pathlib.Path) -> None:
+    On a shared VM host speed drifts by a third within seconds, so the
+    samples of one metric are taken in different stretches of the run
+    rather than back to back.
+    """
+    steps = ["cold"] + ["restart"] * restarts
+    if batch_runs == 1:
+        positions = [len(steps) // 2]
+    else:
+        positions = [index * len(steps) // (batch_runs - 1) for index in range(batch_runs)]
+    for position in reversed(positions):
+        steps.insert(position, "batch")
+    return steps
+
+
+class Run:
+    """The faces of one run, each in fresh processes, and their metrics.
+
+    The service starts cold, is queried and stopped, then restarts over
+    the warm store; the batch runs are spread among these steps
+    (:func:`schedule`).
+    ``query_seconds`` is the length of the query stage (0: the warm-up
+    pass only).  With ``trace_dir`` set, every child wraps the system's
+    layers and writes its spans there.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        work: pathlib.Path,
+        query_seconds: float,
+        trace_dir: Optional[pathlib.Path] = None,
+    ) -> None:
         self.seed = seed
-        self.seconds = seconds
         self.work = work
+        self.query_seconds = query_seconds
+        self.trace_dir = trace_dir
         self.outcome = Outcome()
         self.setups: List[float] = []
         self.rss: List[float] = []
+        self.batch_times: List[float] = []
+        self.epoch_times: List[float] = []
+        self.cold_ready = 0.0
+        self.restart_times: List[float] = []
+        #: (role, trace file) per traced child; role is "batch", "cold"
+        #: or "restart".
+        self.traces: List[Tuple[str, pathlib.Path]] = []
+        self.stages: List[loadgen.StageResult] = []
 
-    def child(self, mode: str, **extra: object) -> Child:
+    def child(self, mode: str, role: str, **extra: object) -> Child:
+        if self.trace_dir is not None:
+            path = self.trace_dir / f"{role}-{len(self.traces)}.jsonl"
+            self.traces.append((role, path))
+            extra["trace"] = path
         return Child(self.work, mode, *_args(**extra))
 
     def finished(self, child: Child) -> None:
@@ -231,24 +292,39 @@ class Run:
         one-time install cost no user pays per run.
         """
         for index in range(count + 1):
-            child = self.child("probe")
+            child = Child(self.work, "probe")
             if child.wait() != 0:
                 raise RuntimeError(f"probe failed; log:\n{child.log_tail()}")
             if index:
                 self.setups.append(child.setup_s())
 
+    def faces(self, workload: Workload, restarts: int, batch_runs: int) -> None:
+        """Both faces, in the order :func:`schedule` gives."""
+        service = None
+        for step in schedule(restarts, batch_runs):
+            if step == "batch":
+                self.batch(workload.batch_scale)
+            elif step == "cold":
+                service = self.cold(workload.service_scale)
+            else:
+                self.restart(service, verify=not self.restart_times)
+        shutil.rmtree(service.store, ignore_errors=True)
+
     def batch(self, scale: float) -> None:
-        child = self.child("all", scale=scale)
+        child = self.child("all", "batch", scale=scale)
         child.wait()
         event = child.event("batch")
         self.finished(child)
         self.outcome.absorb(event)
-        self.outcome.add("batch_s", event["batch_s"], "s")
+        self.batch_times.append(event["batch_s"])
 
-    def _server(self, scale: float, store: pathlib.Path, port: int) -> Tuple[Child, float]:
-        child = self.child("serve", scale=scale, store=store, port=port)
+    def _server(self, role: str, service: "Service") -> Tuple[Child, float]:
+        child = self.child(
+            "serve", role, scale=service.scale, epochs=EPOCHS,
+            store=service.store, port=service.port,
+        )
         try:
-            return child, wait_healthy(child, port)
+            return child, wait_healthy(child, service.port)
         except BaseException:
             child.stop()
             raise
@@ -260,69 +336,100 @@ class Run:
             raise RuntimeError(f"/v1/epochs answered {status}")
         return json.loads(body)
 
-    def service(self, scale: float) -> None:
-        store = self.work / f"store-{scale}"
+    def cold(self, scale: float) -> "Service":
+        """Cold start over a fresh store, the query stage, then stop."""
         port = free_port()
-        send = loadgen.http_sender(port)
-        cold, _ = self._server(scale, store, port)
+        service = Service(
+            scale, self.work / f"store-{scale}", port,
+            loadgen.http_sender(port, id_header=tracer.REQUEST_ID_HEADER),
+        )
+        child, self.cold_ready = self._server("cold", service)
         try:
-            epochs = [event["seconds"] for event in cold.events("epoch")]
-            listing = self._listing(send)
-            self.outcome.failures += checks.check_listing(listing, len(epochs))
-            self.query(send, listing)
+            self.epoch_times += [event["seconds"] for event in child.events("epoch")]
+            service.listing = self._listing(service.send)
+            self.outcome.failures += checks.check_listing(service.listing, EPOCHS)
+            self.query(service.send, service.listing)
         finally:
-            cold.stop()
-        self.finished(cold)
-        restart_times = []
-        for index in range(RESTARTS):
-            warm, ready = self._server(scale, store, port)
-            try:
-                restart_times.append(ready)
-                warm_listing = self._listing(send)
-                self.outcome.failures += checks.compare_listings(listing, warm_listing)
-                if index == 0:
-                    checker = checks.ResponseChecker(warm_listing)
-                    _, made = loadgen.warm_up(send, checker, self.outcome.failures)
-                    self.outcome.attempted += made
-            finally:
-                warm.stop()
-            self.finished(warm)
-        shutil.rmtree(store, ignore_errors=True)
-        self.outcome.add("epoch_s", statistics.median(epochs), "s")
-        self.outcome.add("restart_s", statistics.median(restart_times), "s")
+            child.stop()
+        self.finished(child)
+        return service
+
+    def restart(self, service: "Service", verify: bool) -> None:
+        """A restart over the warm store; ``verify`` adds a warm-up pass."""
+        child, ready = self._server("restart", service)
+        try:
+            self.restart_times.append(ready)
+            listing = self._listing(service.send)
+            self.outcome.failures += checks.compare_listings(service.listing, listing)
+            if verify:
+                checker = checks.ResponseChecker(listing)
+                _, made = loadgen.warm_up(service.send, checker, self.outcome.failures)
+                self.outcome.attempted += made
+        finally:
+            child.stop()
+        self.finished(child)
 
     def query(self, send: loadgen.Send, listing: dict) -> None:
-        """Warm-up, the fixed-rate stage, then the rate ladder."""
+        """The warm-up pass, then the fixed-rate query stage."""
         checker = checks.ResponseChecker(listing)
         outcome = self.outcome
         catalog, made = loadgen.warm_up(send, checker, outcome.failures)
         outcome.attempted += made
+        if not self.query_seconds:
+            return
         rng = random.Random(self.seed)
-
-        def stage(rate: float, seconds: float) -> loadgen.StageResult:
-            requests = loadgen.make_requests(rng, catalog, max(1, round(rate * seconds)))
-            result = loadgen.run_stage(send, checker, requests, rate, rng)
-            outcome.attempted += result.attempted
-            outcome.failures += result.failures
-            return result
-
-        fixed = stage(loadgen.FIXED_RATE, self.seconds * FIXED_SHARE)
-        max_rps, probes = loadgen.find_max_rate(
-            lambda rate: stage(rate, self.seconds * RUNG_SHARE), fixed
+        count = max(1, round(loadgen.FIXED_RATE * self.query_seconds))
+        requests = loadgen.make_requests(rng, catalog, count)
+        stage = loadgen.run_stage(
+            send, checker, requests, loadgen.FIXED_RATE, rng, id_prefix=f"{len(self.stages)}/"
         )
+        outcome.attempted += stage.attempted
+        outcome.failures += stage.failures
+        self.stages.append(stage)
         # Printed, not reported as metrics: their run-to-run spread on a
         # shared 2-core VM exceeds the largest bound (see README).
-        outcome.notes.append(
-            f"query at {fixed.rate:g}/s over {fixed.attempted} requests: "
-            f"p50 {fixed.p(0.50):.3f} ms, p99 {fixed.p(0.99):.3f} ms; "
-            f"max rate {max_rps:.1f}/s (probes at "
-            f"{', '.join(f'{p.rate:.0f}' for p in probes)}/s)"
-        )
+        outcome.notes += loadgen.describe(stage)
+
+    def face_seconds(self, face: str) -> float:
+        """Wall seconds of system work of one face: the ``repro all``
+        calls, or the cold start plus the restarts."""
+        if face == "batch":
+            return sum(self.batch_times)
+        return self.cold_ready + sum(self.restart_times)
 
     def result(self) -> Outcome:
-        self.outcome.add("setup_s", statistics.median(self.setups), "s")
-        self.outcome.add("peak_rss_mb", max(self.rss), "MB")
-        return self.outcome
+        outcome = self.outcome
+        outcome.add("batch_s", statistics.median(self.batch_times), "s")
+        outcome.add("epoch_s", statistics.median(self.epoch_times), "s")
+        outcome.add("restart_s", statistics.median(self.restart_times), "s")
+        outcome.add("setup_s", statistics.median(self.setups), "s")
+        outcome.add("peak_rss_mb", max(self.rss), "MB")
+        return outcome
+
+    def layers(self) -> Dict[str, float]:
+        """The per-layer metrics from the traced children's span files."""
+        traces = [(role, tracer.Tracer.read(str(path))) for role, path in self.traces]
+        client_ms: Dict[str, float] = {}
+        for stage in self.stages:
+            client_ms.update(stage.service_ms)
+        layers = tracer.layer_metrics(
+            [trace for _, trace in traces],
+            [trace for role, trace in traces if role == "restart"],
+            client_ms,
+        )
+        layers.update(loadgen.summarize(self.stages))
+        return layers
+
+
+@dataclass
+class Service:
+    """A service face's store, port and the cold start's epoch listing."""
+
+    scale: float
+    store: pathlib.Path
+    port: int
+    send: loadgen.Send
+    listing: dict = field(default_factory=dict)
 
 
 def run_workload(
@@ -331,64 +438,40 @@ def run_workload(
     seconds: float,
     trace: bool,
     work: pathlib.Path,
-    faces: Optional[Sequence[Tuple[str, float]]] = None,
+    workload: Optional[Workload] = None,
 ) -> Outcome:
-    """One run of workload ``name``; ``faces`` overrides its scales (tests)."""
-    faces = tuple(faces or WORKLOADS[name])
+    """One run of workload ``name``; ``workload`` overrides its scales (tests)."""
+    workload = workload or WORKLOADS[name]
     if trace:
-        return traced(name, seed, work, faces)
-    run = Run(seed, seconds, work)
+        return traced(name, seed, work, workload)
+    run = Run(seed, work, query_seconds=seconds * QUERY_SHARE)
     run.probes(SETUP_PROBES)
-    for kind, scale in faces:
-        if kind == "batch":
-            run.batch(scale)
-        else:
-            run.service(scale)
+    run.faces(workload, RESTARTS, workload.batch_runs)
     return run.result()
 
 
-def _inproc(seed: int, work: pathlib.Path, faces, trace: Optional[str]) -> dict:
-    extra = {
-        "faces": ",".join(f"{kind}:{scale}" for kind, scale in faces),
-        "store": work / f"inproc-{time.monotonic_ns()}",
-        "port": free_port(),
-        "seconds": TRACED_QUERY_SECONDS,
-        "query-seed": seed,
-    }
-    if trace:
-        extra["trace"] = trace
-    child = Child(work, "inproc", *_args(**extra))
-    child.wait()
-    for kind, scale in faces:
-        shutil.rmtree(f"{extra['store']}-{scale}", ignore_errors=True)
-    return child.event("inproc")
-
-
-def _compute_seconds(event: dict) -> float:
-    """Wall time of the traced work: batch runs, cold starts, restarts."""
-    return sum(
-        face.get("batch_s", 0.0) + face.get("cold_s", 0.0) + face.get("restart_s", 0.0)
-        for face in event["faces"]
+def traced(name: str, seed: int, work: pathlib.Path, workload: Workload) -> Outcome:
+    """The per-layer run: the primary face untraced as the reference, then
+    both faces traced, through the same drivers as an untraced run."""
+    reference = Run(seed, work / "reference", query_seconds=0)
+    if workload.primary == "batch":
+        reference.batch(workload.batch_scale)
+    else:
+        reference.restart(reference.cold(workload.service_scale), verify=True)
+    trace_dir = work.parent / f"trace-{name}-seed{seed}"
+    shutil.rmtree(trace_dir, ignore_errors=True)
+    trace_dir.mkdir(parents=True)
+    run = Run(seed, work / "traced", query_seconds=TRACED_QUERY_SECONDS, trace_dir=trace_dir)
+    run.faces(workload, restarts=1, batch_runs=1)
+    layers = run.layers()
+    layers["trace.overhead_frac"] = (
+        run.face_seconds(workload.primary) / reference.face_seconds(workload.primary) - 1.0
     )
-
-
-def traced(name: str, seed: int, work: pathlib.Path, faces) -> Outcome:
-    """The per-layer run: an untraced reference, then the traced twin."""
-    outcome = Outcome()
-    reference = _inproc(seed, work, faces, None)
-    trace_path = work.parent / f"trace-{name}-seed{seed}.jsonl"
-    traced_event = _inproc(seed, work, faces, str(trace_path))
-    for event in (reference, traced_event):
-        for face in event["faces"]:
-            outcome.absorb(face)
-    for metric, value in traced_event["layers"].items():
-        outcome.add(metric, value, layer_unit(metric))
-    outcome.add(
-        "trace.overhead_frac",
-        _compute_seconds(traced_event) / _compute_seconds(reference) - 1.0,
-        "ratio",
-    )
-    outcome.notes.append(f"spans written to {trace_path}")
+    outcome = run.outcome
+    outcome.attempted += reference.outcome.attempted
+    outcome.failures += reference.outcome.failures + checks.check_clean_service(layers)
+    outcome.metrics = {metric: (value, layer_unit(metric)) for metric, value in layers.items()}
+    outcome.notes.append(f"spans written to {trace_dir}")
     return outcome
 
 
@@ -396,7 +479,7 @@ def layer_unit(name: str) -> str:
     """The unit a per-layer metric's name implies."""
     if name.endswith("_s"):
         return "s"
-    if name.endswith("_ms") or "_ms." in name:
+    if "_ms" in name:
         return "ms"
     if "bytes" in name:
         return "bytes"
