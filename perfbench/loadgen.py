@@ -76,8 +76,12 @@ class Catalog:
     onions: Dict[str, List[str]] = field(default_factory=dict)
 
 
-def warm_up(send: Send, checker: ResponseChecker, failures: List[str]) -> Tuple[Catalog, int]:
-    """Fetch every listing and view once, and revalidate each once.
+def warm_up(
+    send: Send, checker: ResponseChecker, failures: List[str], rng: random.Random
+) -> Tuple[Catalog, int]:
+    """Fetch every listing and view once, look up one dossier drawn from
+    ``rng`` and the unknown onion per epoch selector, and revalidate
+    every view once.
 
     Returns the catalog and the number of requests made; every failed
     check is appended to ``failures``.
@@ -111,7 +115,7 @@ def warm_up(send: Send, checker: ResponseChecker, failures: List[str]) -> Tuple[
             catalog.onions[selector] = sorted(json.loads(body)["body"]["onions"])
     for selector, onions in sorted(catalog.onions.items()):
         if onions:
-            get(Request(f"/v1/epochs/{selector}/dossier/{onions[0]}", None, 200))
+            get(Request(f"/v1/epochs/{selector}/dossier/{rng.choice(onions)}", None, 200))
         get(Request(f"/v1/epochs/{selector}/dossier/{UNKNOWN_ONION}", None, 404))
     for path, etag in sorted(catalog.etags.items()):
         get(Request(path, etag, 304))

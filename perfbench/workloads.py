@@ -5,8 +5,9 @@ processes started through ``perfbench/child.py``:
 
 - the *batch* face: cold ``repro all`` runs (workers 1, no store);
 - the *service* face: a cold ``repro serve --epochs 2 --workers 2`` over
-  a fresh store, an open-loop HTTP query stream against it, then
-  restarts over the warm store.
+  a fresh store, a warm-up pass over every route and (``service_cycle``
+  only) an open-loop HTTP query stream against it, then restarts over
+  the warm store.
 
 The workloads differ in which face runs at the README/ROADMAP reference
 scale 0.05 and which runs small (0.01): ``batch_all`` is the paper
@@ -44,32 +45,48 @@ CHILD = HERE / "child.py"
 
 @dataclass(frozen=True)
 class Workload:
-    """The scale of each face, and which face the workload is about."""
+    """The scale of each face, the steps of a run, and which face the
+    workload is about."""
 
     primary: str
     batch_scale: float
     service_scale: float
-    #: Cold ``repro all`` runs per run; ``batch_s`` is their median.
-    batch_runs: int
+    #: A run's steps in order (see :meth:`Run.steps`): ``batch`` is one
+    #: cold ``repro all``, ``cold`` a cold service start over a fresh
+    #: store, ``restart`` a restart over the latest cold start's store.
+    #: ``batch_s`` and ``restart_s`` are the medians of their steps, and
+    #: ``epoch_s`` that of every cold start's epochs.
+    steps: Tuple[str, ...]
 
 
+#: On a shared VM host, speed drifts by a third within seconds, so the
+#: samples of each metric are spread over the whole run rather than
+#: taken back to back: a run's median then follows the host's speed
+#: over the run, not over one stretch of it.
 WORKLOADS: Dict[str, Workload] = {
-    "batch_all": Workload("batch", batch_scale=0.05, service_scale=0.01, batch_runs=2),
-    "service_cycle": Workload("service", batch_scale=0.01, service_scale=0.05, batch_runs=3),
+    "batch_all": Workload(
+        "batch", batch_scale=0.05, service_scale=0.01,
+        steps=(
+            "cold", "restart", "batch", "restart", "restart",
+            "restart", "batch", "restart", "restart",
+        ),
+    ),
+    "service_cycle": Workload(
+        "service", batch_scale=0.01, service_scale=0.05,
+        steps=(
+            "batch", "cold", "restart", "batch", "restart",
+            "restart", "batch", "restart", "restart", "batch",
+        ),
+    ),
 }
 #: The world every run measures: the reference seed of README and ROADMAP.
-#: ``--seed`` varies the query stream, not the world.  Generating a world
+#: ``--seed`` varies the HTTP requests, not the world.  Generating a world
 #: grinds vanity onions, a search whose cost is heavy-tailed in the seed
 #: (0.1 s to 3.3 s per scale-0.05 population across seeds 0-14, and the
 #: service regenerates it per epoch, cold or warm), so varying the world
 #: spread restart_s by 100% across five seeds: that measures the seed,
 #: not the code.
 WORLD_SEED = 0
-#: Import-only processes per run, on top of the measured children, so
-#: set-up time is a median over several fresh processes.
-SETUP_PROBES = 3
-#: Restarts over the warm store per service face (restart_s is their median).
-RESTARTS = 5
 #: Epochs each service face computes before it serves.
 EPOCHS = 2
 #: Seconds a child may take before it is killed and the run fails.
@@ -77,8 +94,9 @@ CHILD_TIMEOUT_S = 170.0
 #: Share of ``--seconds`` the query stage lasts: 1,000 requests at the
 #: declared 20 s, so the stage's p99 has 10 samples beyond it.
 QUERY_SHARE = 1 / 2
-#: The traced run's query stage, in seconds.  It restarts the service
-#: once and runs ``repro all`` once.
+#: The traced run's steps: one of each, so every layer is traced once.
+TRACED_STEPS = ("cold", "batch", "restart")
+#: The traced run's query stage, in seconds.
 TRACED_QUERY_SECONDS = 5.0
 
 
@@ -221,34 +239,15 @@ def _args(**extra: object) -> List[str]:
     return args
 
 
-def schedule(restarts: int, batch_runs: int) -> List[str]:
-    """The service's cold start and restarts, with the batch runs spread
-    evenly among them: the first before the cold start and the last at
-    the end (a single one in the middle).
-
-    On a shared VM host speed drifts by a third within seconds, so the
-    samples of one metric are taken in different stretches of the run
-    rather than back to back.
-    """
-    steps = ["cold"] + ["restart"] * restarts
-    if batch_runs == 1:
-        positions = [len(steps) // 2]
-    else:
-        positions = [index * len(steps) // (batch_runs - 1) for index in range(batch_runs)]
-    for position in reversed(positions):
-        steps.insert(position, "batch")
-    return steps
-
-
 class Run:
     """The faces of one run, each in fresh processes, and their metrics.
 
-    The service starts cold, is queried and stopped, then restarts over
-    the warm store; the batch runs are spread among these steps
-    (:func:`schedule`).
-    ``query_seconds`` is the length of the query stage (0: the warm-up
-    pass only).  With ``trace_dir`` set, every child wraps the system's
-    layers and writes its spans there.
+    A cold service start is queried and stopped; later steps restart it
+    over its warm store; the batch runs are spread among these steps
+    (:meth:`steps`).  ``query_seconds`` is the length of the query stage
+    after each cold start (0: the warm-up pass only).  With ``trace_dir``
+    set, every child wraps the system's layers and writes its spans
+    there.
     """
 
     def __init__(
@@ -258,7 +257,7 @@ class Run:
         query_seconds: float,
         trace_dir: Optional[pathlib.Path] = None,
     ) -> None:
-        self.seed = seed
+        self.rng = random.Random(seed)
         self.work = work
         self.query_seconds = query_seconds
         self.trace_dir = trace_dir
@@ -267,7 +266,7 @@ class Run:
         self.rss: List[float] = []
         self.batch_times: List[float] = []
         self.epoch_times: List[float] = []
-        self.cold_ready = 0.0
+        self.cold_times: List[float] = []
         self.restart_times: List[float] = []
         #: (role, trace file) per traced child; role is "batch", "cold"
         #: or "restart".
@@ -285,30 +284,31 @@ class Run:
         self.setups.append(child.setup_s())
         self.rss.append(child.peak_rss_mb)
 
-    def probes(self, count: int) -> None:
-        """``count`` import-only processes, after one unmeasured warm-up.
+    def write_bytecode_caches(self) -> None:
+        """One unmeasured import-only process.
 
-        The warm-up lets the interpreter write its bytecode caches, a
-        one-time install cost no user pays per run.
+        It lets the interpreter write its bytecode caches, a one-time
+        install cost no user pays per run.
         """
-        for index in range(count + 1):
-            child = Child(self.work, "probe")
-            if child.wait() != 0:
-                raise RuntimeError(f"probe failed; log:\n{child.log_tail()}")
-            if index:
-                self.setups.append(child.setup_s())
+        child = Child(self.work, "probe")
+        if child.wait() != 0:
+            raise RuntimeError(f"probe failed; log:\n{child.log_tail()}")
 
-    def faces(self, workload: Workload, restarts: int, batch_runs: int) -> None:
-        """Both faces, in the order :func:`schedule` gives."""
-        service = None
-        for step in schedule(restarts, batch_runs):
-            if step == "batch":
-                self.batch(workload.batch_scale)
-            elif step == "cold":
-                service = self.cold(workload.service_scale)
-            else:
-                self.restart(service, verify=not self.restart_times)
-        shutil.rmtree(service.store, ignore_errors=True)
+    def steps(self, workload: Workload, steps: Sequence[str]) -> None:
+        """Both faces, one step after another (see :class:`Workload`)."""
+        stores = []
+        try:
+            for step in steps:
+                if step == "batch":
+                    self.batch(workload.batch_scale)
+                elif step == "cold":
+                    service = self.cold(workload.service_scale, len(stores))
+                    stores.append(service.store)
+                else:
+                    self.restart(service, verify=not self.restart_times)
+        finally:
+            for store in stores:
+                shutil.rmtree(store, ignore_errors=True)
 
     def batch(self, scale: float) -> None:
         child = self.child("all", "batch", scale=scale)
@@ -336,15 +336,16 @@ class Run:
             raise RuntimeError(f"/v1/epochs answered {status}")
         return json.loads(body)
 
-    def cold(self, scale: float) -> "Service":
+    def cold(self, scale: float, index: int) -> "Service":
         """Cold start over a fresh store, the query stage, then stop."""
         port = free_port()
         service = Service(
-            scale, self.work / f"store-{scale}", port,
+            scale, self.work / f"store-{scale}-{index}", port,
             loadgen.http_sender(port, id_header=tracer.REQUEST_ID_HEADER),
         )
-        child, self.cold_ready = self._server("cold", service)
+        child, ready = self._server("cold", service)
         try:
+            self.cold_times.append(ready)
             self.epoch_times += [event["seconds"] for event in child.events("epoch")]
             service.listing = self._listing(service.send)
             self.outcome.failures += checks.check_listing(service.listing, EPOCHS)
@@ -363,7 +364,7 @@ class Run:
             self.outcome.failures += checks.compare_listings(service.listing, listing)
             if verify:
                 checker = checks.ResponseChecker(listing)
-                _, made = loadgen.warm_up(service.send, checker, self.outcome.failures)
+                _, made = loadgen.warm_up(service.send, checker, self.outcome.failures, self.rng)
                 self.outcome.attempted += made
         finally:
             child.stop()
@@ -373,15 +374,14 @@ class Run:
         """The warm-up pass, then the fixed-rate query stage."""
         checker = checks.ResponseChecker(listing)
         outcome = self.outcome
-        catalog, made = loadgen.warm_up(send, checker, outcome.failures)
+        catalog, made = loadgen.warm_up(send, checker, outcome.failures, self.rng)
         outcome.attempted += made
         if not self.query_seconds:
             return
-        rng = random.Random(self.seed)
         count = max(1, round(loadgen.FIXED_RATE * self.query_seconds))
-        requests = loadgen.make_requests(rng, catalog, count)
+        requests = loadgen.make_requests(self.rng, catalog, count)
         stage = loadgen.run_stage(
-            send, checker, requests, loadgen.FIXED_RATE, rng, id_prefix=f"{len(self.stages)}/"
+            send, checker, requests, loadgen.FIXED_RATE, self.rng, id_prefix=f"{len(self.stages)}/"
         )
         outcome.attempted += stage.attempted
         outcome.failures += stage.failures
@@ -395,10 +395,16 @@ class Run:
         calls, or the cold start plus the restarts."""
         if face == "batch":
             return sum(self.batch_times)
-        return self.cold_ready + sum(self.restart_times)
+        return sum(self.cold_times) + sum(self.restart_times)
 
     def result(self) -> Outcome:
         outcome = self.outcome
+        for name, samples in (
+            ("batch_s", self.batch_times),
+            ("epoch_s", self.epoch_times),
+            ("restart_s", self.restart_times),
+        ):
+            outcome.notes.append(f"{name} samples: " + " ".join(f"{v:.3f}" for v in samples))
         outcome.add("batch_s", statistics.median(self.batch_times), "s")
         outcome.add("epoch_s", statistics.median(self.epoch_times), "s")
         outcome.add("restart_s", statistics.median(self.restart_times), "s")
@@ -444,9 +450,12 @@ def run_workload(
     workload = workload or WORKLOADS[name]
     if trace:
         return traced(name, seed, work, workload)
-    run = Run(seed, work, query_seconds=seconds * QUERY_SHARE)
-    run.probes(SETUP_PROBES)
-    run.faces(workload, RESTARTS, workload.batch_runs)
+    # The query stream belongs to the service workload; elsewhere each
+    # cold start gets the warm-up pass, which checks every route once.
+    query_seconds = seconds * QUERY_SHARE if workload.primary == "service" else 0.0
+    run = Run(seed, work, query_seconds=query_seconds)
+    run.write_bytecode_caches()
+    run.steps(workload, workload.steps)
     return run.result()
 
 
@@ -454,15 +463,12 @@ def traced(name: str, seed: int, work: pathlib.Path, workload: Workload) -> Outc
     """The per-layer run: the primary face untraced as the reference, then
     both faces traced, through the same drivers as an untraced run."""
     reference = Run(seed, work / "reference", query_seconds=0)
-    if workload.primary == "batch":
-        reference.batch(workload.batch_scale)
-    else:
-        reference.restart(reference.cold(workload.service_scale), verify=True)
+    reference.steps(workload, ("batch",) if workload.primary == "batch" else ("cold", "restart"))
     trace_dir = work.parent / f"trace-{name}-seed{seed}"
     shutil.rmtree(trace_dir, ignore_errors=True)
     trace_dir.mkdir(parents=True)
     run = Run(seed, work / "traced", query_seconds=TRACED_QUERY_SECONDS, trace_dir=trace_dir)
-    run.faces(workload, restarts=1, batch_runs=1)
+    run.steps(workload, TRACED_STEPS)
     layers = run.layers()
     layers["trace.overhead_frac"] = (
         run.face_seconds(workload.primary) / reference.face_seconds(workload.primary) - 1.0
