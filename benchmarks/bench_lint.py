@@ -1,6 +1,6 @@
 """Bench: whole-program lint wall-time over the full source tree.
 
-Runs all thirteen rules (the three whole-program analyses included)
+Runs every registered rule (the whole-program analyses included)
 against ``src/repro`` and records the wall-clock plus the parse count.
 The parse-count assertion is the "each file parsed exactly once"
 guarantee as a measured property: the AST cache must hand every rule —
@@ -18,7 +18,7 @@ REPRO_SRC = str(pathlib.Path(__file__).parent.parent / "src" / "repro")
 
 
 def test_lint_whole_program(benchmark, report_dir):
-    """Full REP001-REP013 sweep: one parse per file, zero findings."""
+    """Full rule sweep: one parse per file, zero findings."""
 
     def sweep():
         cache = AstCache()

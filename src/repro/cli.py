@@ -190,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Operate on a repro.store directory: 'ls' renders the run "
             "ledger and indexed artifacts, 'gc' deletes objects no index "
             "entry references, 'verify' re-hashes every object (exits 1 "
-            "on corruption) and cross-checks each cached stage's recorded "
-            "code fingerprint against the module tuple the source tree "
-            "declares today, reporting drift informationally."
+            "on corruption) and reports, informationally, each cached "
+            "artifact whose recorded code fingerprint differs from the "
+            "current source's."
         ),
     )
     store.add_argument("action", choices=("ls", "gc", "verify"))
@@ -205,15 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
             "gc only: ledger-aware retention — keep the newest N ledgered "
             "runs' artifacts (a service epoch ledgers as one run), unindex "
             "everything older, then sweep unreferenced objects"
-        ),
-    )
-    store.add_argument(
-        "--src",
-        default="src/repro",
-        metavar="PATH",
-        help=(
-            "source tree the fingerprint-drift check resolves stage "
-            "declarations from (verify only; skipped if absent)"
         ),
     )
     _add_store(store)
@@ -268,18 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="check determinism & convention rules (REP001-REP014)",
+        help=(
+            "check determinism & convention rules "
+            "(REP001-REP011, REP013-REP015)"
+        ),
         description=(
             "Static analysis over the given paths: seeded-RNG discipline, "
             "sim-clock usage, the repro.errors hierarchy, stable set "
             "ordering, import layering, raw-concurrency containment, "
             "ad-hoc instrumentation (use repro.obs, not print/perf_counter), "
             "artifact-write containment (use repro.io/repro.store, not "
-            "raw open/json.dump), plus the whole-program analyses: RNG "
-            "stream-label lineage (REP011), stage code-fingerprint "
-            "coverage (REP012), pmap shard safety (REP013), and "
-            "supervision containment (REP014: teardown interception is "
-            "repro.supervise's alone). Exits 1 when findings remain."
+            "raw open/json.dump), supervision containment (REP014: "
+            "teardown interception is repro.supervise's alone), network "
+            "containment (REP015: sockets and HTTP belong to "
+            "repro.service), plus the whole-program analyses: RNG "
+            "stream-label lineage (REP011) and pmap shard safety (REP013). "
+            "Exits 1 when findings remain."
         ),
     )
     lint.add_argument(
@@ -299,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "apply the mechanical autofixes findings carry (REP005 sorted "
-            "wrapping, REP012 module-tuple completion), then re-lint; "
-            "exits 1 only if unfixable findings remain"
+            "wrapping), then re-lint; exits 1 only if unfixable findings "
+            "remain"
         ),
     )
     lint.add_argument(
@@ -783,7 +778,7 @@ def _run_obs(args) -> int:
 
 
 def _run_store(args) -> int:
-    from repro.store.admin import gc, ls_lines, verify
+    from repro.store.admin import fingerprint_drift, gc, ls_lines, verify
 
     store = _open_store(args)
     if store is None:
@@ -820,13 +815,9 @@ def _run_store(args) -> int:
     problems = verify(store)
     for problem in problems:
         print(problem)
-    drift: List[str] = []
-    if os.path.isdir(args.src):
-        from repro.devtools.storecheck import fingerprint_drift
-
-        drift = fingerprint_drift(store, (args.src,))
-        for line in drift:
-            print(line)
+    drift = fingerprint_drift(store)
+    for line in drift:
+        print(line)
     print(f"[verify: {len(problems)} problem(s), {len(drift)} drifted]")
     # Drift is informational — the artifacts are intact, just older than
     # the code; only corruption affects the exit code.

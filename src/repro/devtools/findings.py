@@ -12,9 +12,8 @@ class Fix:
     """One mechanical rewrite: replace a source span with new text.
 
     Spans use ast's coordinates — 1-based lines, 0-based columns — and may
-    live in a *different* file than the finding (a fingerprint-coverage
-    finding anchors at the ``Stage(...)`` wiring call but fixes the module
-    tuple where it is declared).  ``repro lint --fix`` applies these.
+    live in a *different* file than the finding.  ``repro lint --fix``
+    applies these.
     """
 
     file: str

@@ -3,8 +3,7 @@
 Two rule shapes exist.  :class:`AstRule` sees one file at a time (a parsed
 :class:`FileContext`); :class:`ProjectRule` sees the whole scanned project
 at once through a :class:`~repro.devtools.callgraph.ProjectContext`, which
-is what the import-graph, RNG-lineage, and fingerprint-coverage analyses
-need.
+is what the import-graph and RNG-lineage analyses need.
 """
 
 from __future__ import annotations
@@ -137,7 +136,6 @@ def get_rule(rule_id: str) -> Rule:
 def _ensure_loaded() -> None:
     # Importing the rule modules triggers their @register decorators.
     from repro.devtools import (  # noqa: F401
-        fingerprints,
         layering,
         rng_lineage,
         rules,

@@ -8,7 +8,7 @@ they flag has a sanctioned rewrite documented in the finding message.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.devtools.findings import Finding, Fix
 from repro.devtools.registry import AstRule, FileContext, register
@@ -321,6 +321,26 @@ class SetOrderingRule(AstRule):
                         )
 
 
+def _imports_rooted_in(
+    ctx: FileContext, roots: Tuple[str, ...]
+) -> Iterator[Tuple[ast.AST, str]]:
+    """``(import node, imported name)`` for absolute imports under ``roots``.
+
+    ``import a.b`` and ``from a.b import c`` both match root ``a``; an
+    ``import`` statement naming several modules reports the first match.
+    """
+    for node in ctx.nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in roots:
+                    yield node, alias.name
+                    break
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.split(".")[0] in roots:
+                yield node, module
+
+
 #: Top-level modules whose direct use is concurrency outside the
 #: deterministic executor.
 _CONCURRENCY_MODULES = ("multiprocessing", "concurrent")
@@ -349,27 +369,15 @@ class RawConcurrencyRule(AstRule):
         return PARALLEL_PACKAGE_FRAGMENT not in ctx.path
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.nodes:
-            flagged = None
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _CONCURRENCY_MODULES:
-                        flagged = alias.name
-                        break
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                root = (node.module or "").split(".")[0]
-                if root in _CONCURRENCY_MODULES:
-                    flagged = node.module
-            if flagged:
-                yield _finding(
-                    self,
-                    ctx,
-                    node,
-                    f"raw concurrency import {flagged!r}; fan work out "
-                    "through repro.parallel.pmap so shard order, RNG "
-                    "streams, and merges stay worker-count-invariant",
-                )
+        for node, flagged in _imports_rooted_in(ctx, _CONCURRENCY_MODULES):
+            yield _finding(
+                self,
+                ctx,
+                node,
+                f"raw concurrency import {flagged!r}; fan work out "
+                "through repro.parallel.pmap so shard order, RNG "
+                "streams, and merges stay worker-count-invariant",
+            )
 
 
 #: Packages whose job is absorbing failure: the fault/retry plane and the
@@ -810,24 +818,12 @@ class RawNetworkRule(AstRule):
         )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.nodes:
-            flagged = None
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _NETWORK_MODULES:
-                        flagged = alias.name
-                        break
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                root = (node.module or "").split(".")[0]
-                if root in _NETWORK_MODULES:
-                    flagged = node.module
-            if flagged:
-                yield _finding(
-                    self,
-                    ctx,
-                    node,
-                    f"raw network import {flagged!r}; socket/HTTP handling "
-                    "belongs to repro.service, which owns the project's "
-                    "single listener, response framing, and error taxonomy",
-                )
+        for node, flagged in _imports_rooted_in(ctx, _NETWORK_MODULES):
+            yield _finding(
+                self,
+                ctx,
+                node,
+                f"raw network import {flagged!r}; socket/HTTP handling "
+                "belongs to repro.service, which owns the project's "
+                "single listener, response framing, and error taxonomy",
+            )

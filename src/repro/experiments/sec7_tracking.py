@@ -22,75 +22,6 @@ from repro.popularity.timeseries import (
 from repro.sim.clock import DAY, Timestamp, parse_date
 from repro.store import ArtifactStore, Stage
 
-#: Modules whose source feeds the sec7 checkpoint's code fingerprint.
-_SEC7_MODULES = (
-    "repro.analysis.report",
-    "repro.analysis.stats",
-    "repro.classify",
-    "repro.classify.language",
-    "repro.classify.naive_bayes",
-    "repro.classify.tokenize",
-    "repro.classify.topics",
-    "repro.classify.training",
-    "repro.client.client",
-    "repro.client.guards",
-    "repro.client.workload",
-    "repro.crawl",
-    "repro.crawl.crawler",
-    "repro.crawl.filters",
-    "repro.crawl.page",
-    "repro.crypto.descriptor_id",
-    "repro.crypto.keys",
-    "repro.crypto.onion",
-    "repro.crypto.ring",
-    "repro.crypto.vanity",
-    "repro.detection",
-    "repro.detection.analyzer",
-    "repro.detection.rules",
-    "repro.detection.silkroad",
-    "repro.dirauth.archive",
-    "repro.dirauth.authority",
-    "repro.dirauth.consensus",
-    "repro.dirauth.voting",
-    "repro.experiments.pipeline",
-    "repro.experiments.sec7_tracking",
-    "repro.faults",
-    "repro.faults.plan",
-    "repro.faults.profiles",
-    "repro.faults.retry",
-    "repro.faults.taxonomy",
-    "repro.faults.transport",
-    "repro.hs.descriptor",
-    "repro.hs.service",
-    "repro.hsdir.directory",
-    "repro.hsdir.ring_view",
-    "repro.io",
-    "repro.net.address",
-    "repro.net.endpoint",
-    "repro.net.geoip",
-    "repro.net.transport",
-    "repro.parallel",
-    "repro.parallel.executor",
-    "repro.popularity.ranking",
-    "repro.popularity.timeseries",
-    "repro.population",
-    "repro.population.botnets",
-    "repro.population.content",
-    "repro.population.corpus",
-    "repro.population.generator",
-    "repro.population.spec",
-    "repro.population.webserver",
-    "repro.relay.flags",
-    "repro.relay.relay",
-    "repro.scan",
-    "repro.scan.results",
-    "repro.scan.scanner",
-    "repro.scan.schedule",
-    "repro.scan.tls",
-    "repro.sim.clock",
-    "repro.sim.rng",
-    "repro.tornet",
-)
 
 YEAR_WINDOWS: Tuple[Tuple[str, str, str], ...] = (
     ("year1", "2011-02-01", "2011-12-31"),
@@ -220,7 +151,6 @@ def run_sec7(
     if store is not None and world is None:
         stage = Stage(
             name="sec7",
-            modules=_SEC7_MODULES,
             encode=_sec7_to_payload,
             decode=_sec7_from_payload,
         )

@@ -38,81 +38,6 @@ from repro.store import ArtifactStore, Stage
 from repro.tornet import TorNetwork
 from repro.trawl import TrawlAttack, TrawlConfig
 
-#: Modules whose source feeds the table2 checkpoint's code fingerprint.
-_TABLE2_MODULES = (
-    "repro.analysis.report",
-    "repro.analysis.stats",
-    "repro.classify",
-    "repro.classify.language",
-    "repro.classify.naive_bayes",
-    "repro.classify.tokenize",
-    "repro.classify.topics",
-    "repro.classify.training",
-    "repro.client.client",
-    "repro.client.guards",
-    "repro.client.workload",
-    "repro.crawl",
-    "repro.crawl.crawler",
-    "repro.crawl.filters",
-    "repro.crawl.page",
-    "repro.crypto.descriptor_id",
-    "repro.crypto.keys",
-    "repro.crypto.onion",
-    "repro.crypto.ring",
-    "repro.crypto.vanity",
-    "repro.dirauth.archive",
-    "repro.dirauth.authority",
-    "repro.dirauth.consensus",
-    "repro.dirauth.voting",
-    "repro.experiments.pipeline",
-    "repro.experiments.table2_popularity",
-    "repro.faults",
-    "repro.faults.plan",
-    "repro.faults.profiles",
-    "repro.faults.retry",
-    "repro.faults.taxonomy",
-    "repro.faults.transport",
-    "repro.hs.descriptor",
-    "repro.hs.publisher",
-    "repro.hs.service",
-    "repro.hsdir.directory",
-    "repro.hsdir.ring_view",
-    "repro.io",
-    "repro.net.address",
-    "repro.net.endpoint",
-    "repro.net.geoip",
-    "repro.net.transport",
-    "repro.parallel",
-    "repro.parallel.executor",
-    "repro.popularity",
-    "repro.popularity.labels",
-    "repro.popularity.ranking",
-    "repro.popularity.resolver",
-    "repro.popularity.timeseries",
-    "repro.population",
-    "repro.population.botnets",
-    "repro.population.content",
-    "repro.population.corpus",
-    "repro.population.generator",
-    "repro.population.spec",
-    "repro.population.webserver",
-    "repro.relay.flags",
-    "repro.relay.relay",
-    "repro.scan",
-    "repro.scan.results",
-    "repro.scan.scanner",
-    "repro.scan.schedule",
-    "repro.scan.tls",
-    "repro.sim.clock",
-    "repro.sim.engine",
-    "repro.sim.rng",
-    "repro.tornet",
-    "repro.trawl",
-    "repro.trawl.attack",
-    "repro.trawl.coverage",
-    "repro.trawl.harvest",
-    "repro.trawl.shadowing",
-)
 
 # Section V aggregates (full scale).
 PAPER_TOTAL_REQUESTS = 1_031_176
@@ -337,7 +262,6 @@ def run_table2(
         return compute()
     stage = Stage(
         name="table2",
-        modules=_TABLE2_MODULES,
         encode=_table2_to_payload,
         decode=_table2_from_payload,
     )

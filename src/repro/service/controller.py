@@ -65,91 +65,6 @@ EPOCH_DURATION_BUCKETS: Tuple[float, ...] = (
     1_209_600.0,
 )
 
-#: Import closure of the views stage (REP012 fingerprint coverage): the
-#: modules whose source shapes view bytes, kept flat and sorted so
-#: ``repro lint`` can statically prove the checkpoint key covers the
-#: code it caches.
-_VIEWS_STAGE_MODULES: Tuple[str, ...] = (
-    "repro.analysis.report",
-    "repro.analysis.stats",
-    "repro.classify",
-    "repro.classify.language",
-    "repro.classify.naive_bayes",
-    "repro.classify.tokenize",
-    "repro.classify.topics",
-    "repro.classify.training",
-    "repro.client.client",
-    "repro.client.guards",
-    "repro.client.workload",
-    "repro.crawl",
-    "repro.crawl.crawler",
-    "repro.crawl.filters",
-    "repro.crawl.page",
-    "repro.crypto.descriptor_id",
-    "repro.crypto.keys",
-    "repro.crypto.onion",
-    "repro.crypto.ring",
-    "repro.crypto.vanity",
-    "repro.dirauth.archive",
-    "repro.dirauth.authority",
-    "repro.dirauth.consensus",
-    "repro.dirauth.voting",
-    "repro.experiments.harvest",
-    "repro.experiments.pipeline",
-    "repro.experiments.table2_popularity",
-    "repro.faults",
-    "repro.faults.plan",
-    "repro.faults.profiles",
-    "repro.faults.retry",
-    "repro.faults.taxonomy",
-    "repro.faults.transport",
-    "repro.hs.descriptor",
-    "repro.hs.publisher",
-    "repro.hs.service",
-    "repro.hsdir.directory",
-    "repro.hsdir.ring_view",
-    "repro.io",
-    "repro.net.address",
-    "repro.net.endpoint",
-    "repro.net.geoip",
-    "repro.net.transport",
-    "repro.parallel",
-    "repro.parallel.executor",
-    "repro.popularity",
-    "repro.popularity.labels",
-    "repro.popularity.ranking",
-    "repro.popularity.resolver",
-    "repro.popularity.timeseries",
-    "repro.population",
-    "repro.population.botnets",
-    "repro.population.content",
-    "repro.population.corpus",
-    "repro.population.generator",
-    "repro.population.spec",
-    "repro.population.webserver",
-    "repro.relay.flags",
-    "repro.relay.relay",
-    "repro.scan",
-    "repro.scan.results",
-    "repro.scan.scanner",
-    "repro.scan.schedule",
-    "repro.scan.tls",
-    "repro.service.config",
-    "repro.service.controller",
-    "repro.service.results",
-    "repro.service.schema",
-    "repro.sim.clock",
-    "repro.sim.engine",
-    "repro.sim.rng",
-    "repro.tornet",
-    "repro.trawl",
-    "repro.trawl.attack",
-    "repro.trawl.coverage",
-    "repro.trawl.harvest",
-    "repro.trawl.shadowing",
-    "repro.worldbuild",
-)
-
 
 def epoch_run_id(epoch: int) -> str:
     """The pinned ledger run id for ``epoch`` (``epoch-NNNNNN``)."""
@@ -270,7 +185,6 @@ class ServiceEpochRun:
             self._bracket(stage_enter("views"))
             stage = Stage(
                 name="views",
-                modules=_VIEWS_STAGE_MODULES,
                 encode=_views_to_payload,
                 decode=_views_from_payload,
             )

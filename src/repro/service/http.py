@@ -24,9 +24,14 @@ from repro.service.api import ServiceRouter
 #: The pinned Date header: the service has no wall clock (REP003).
 FIXED_DATE = "Thu, 01 Jan 1970 00:00:00 GMT"
 
+#: Seconds a connection may sit without sending a complete request line
+#: and headers (or reading its response) before the handler drops it.
+READ_TIMEOUT_SECONDS = 10
+
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_SECONDS
 
     def version_string(self) -> str:
         return "repro-service"
@@ -40,7 +45,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         pass
 
     def _respond(self, method: str) -> None:
-        response = self.server.router.handle(method, self.path, self.headers)
+        # The permit covers only routing: a client still sending its
+        # request (or an idle keep-alive connection) holds no slot.
+        with self.server.slots:
+            response = self.server.router.handle(method, self.path, self.headers)
         self.send_response(response.status)
         for name, value in response.headers.items():
             self.send_header(name, value)
@@ -66,9 +74,11 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server with a bounded handler pool.
 
     ``ThreadingHTTPServer`` spawns one thread per connection; the
-    semaphore bounds how many handle requests *concurrently*, so a
-    traffic burst queues instead of unboundedly fanning out over the
-    router lock.
+    semaphore bounds how many parsed requests the router handles
+    *concurrently*, so a traffic burst queues instead of unboundedly
+    fanning out over the router lock.  Connections that have not yet
+    sent a request take no permit, and the handler's read timeout drops
+    them, so idle sockets cannot starve ``/healthz``.
     """
 
     daemon_threads = True
@@ -80,12 +90,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         workers: int = 8,
     ) -> None:
         self.router = router
-        self._slots = threading.BoundedSemaphore(max(1, workers))
+        self.slots = threading.BoundedSemaphore(max(1, workers))
         super().__init__(address, _ServiceRequestHandler)
-
-    def process_request_thread(self, request, client_address) -> None:
-        with self._slots:
-            super().process_request_thread(request, client_address)
 
 
 def serve(

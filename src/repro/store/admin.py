@@ -12,8 +12,9 @@ import pathlib
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.store.checkpoint import ArtifactStore
+from repro.store.keys import code_fingerprint
 
 
 @dataclass(frozen=True)
@@ -151,3 +152,31 @@ def verify(store: ArtifactStore) -> List[str]:
         if digest not in referenced and not store.cas.verify(digest):
             problems.append(f"orphan object {digest} is corrupt")
     return problems
+
+
+def fingerprint_drift(store: ArtifactStore) -> List[str]:
+    """Index entries whose artifact was computed under different code.
+
+    Drift is not corruption: the artifact is intact but its recorded
+    :func:`~repro.store.keys.code_fingerprint` no longer matches the
+    current source, so the next run recomputes it.  Unreadable entries
+    and objects are :func:`verify`'s to report, not drift.
+    """
+    current = code_fingerprint()
+    lines: List[str] = []
+    try:
+        entries = list(iter_index(store))
+    except StoreError:
+        return lines
+    for entry in entries:
+        try:
+            recorded = str(store.cas.get(entry.object_digest)["key"]["fingerprint"])
+        except (ReproError, ValueError, KeyError, TypeError):
+            continue
+        if recorded != current:
+            lines.append(
+                f"drift {entry.stage} key={entry.key_digest[:12]}: artifact "
+                f"fingerprint {recorded[:12]} != current {current[:12]}; it "
+                "will recompute on the next run"
+            )
+    return lines

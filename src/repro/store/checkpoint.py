@@ -1,8 +1,7 @@
 """Stage checkpointing: the miss→compute→put / hit→load→restore wrapper.
 
-A :class:`Stage` names one pipeline step, the modules whose source feeds
-its code fingerprint, and the encode/decode pair that round-trips its
-artifact through JSON (supplied by the caller — the store never imports
+A :class:`Stage` names one pipeline step and the encode/decode pair that
+round-trips its artifact through JSON (supplied by the caller — the store never imports
 measurement code).  :meth:`ArtifactStore.run` then keys an execution on
 the full :class:`~repro.store.keys.CacheKey` — configuration, code
 fingerprint, upstream artifact digests, and the pre-stage RNG cursor —
@@ -62,20 +61,14 @@ class StateCursor:
 class Stage:
     """One checkpointable pipeline step.
 
-    ``modules`` are dotted module names hashed into the stage's code
-    fingerprint; list every module whose behaviour the artifact depends
-    on.  ``encode``/``decode`` round-trip the artifact through plain JSON
-    (usually a :mod:`repro.io` pair).
+    ``encode``/``decode`` round-trip the artifact through plain JSON
+    (usually a :mod:`repro.io` pair).  Every stage keys on the same
+    package-wide :func:`~repro.store.keys.code_fingerprint`.
     """
 
     name: str
-    modules: Tuple[str, ...]
     encode: Callable[[Any], Dict[str, Any]]
     decode: Callable[[Dict[str, Any]], Any]
-
-    def fingerprint(self) -> str:
-        """The stage's current code fingerprint."""
-        return code_fingerprint(self.modules)
 
 
 class ArtifactStore:
@@ -160,7 +153,7 @@ class ArtifactStore:
         key = CacheKey(
             stage=stage.name,
             config=config,
-            fingerprint=stage.fingerprint(),
+            fingerprint=code_fingerprint(),
             upstream=self._resolve_upstream(upstream),
             cursor=cursor_digest,
         )

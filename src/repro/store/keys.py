@@ -7,21 +7,21 @@ the upstream artifacts feeding the stage, the RNG cursor the stage starts
 from, or the code implementing it — and must *not* change under
 irrelevant permutations such as dict insertion order.
 
-Code is folded in as a fingerprint: the SHA-256 of the source bytes of
-the modules a stage names.  Editing any of those modules silently
-invalidates every artifact the stage ever produced, which is the only
-safe default for a cache that feeds published numbers.
+Code is folded in as one fingerprint of the whole package: the SHA-256
+of the source bytes of every module outside the exempt infrastructure
+layers.  Editing any of those modules silently invalidates every cached
+artifact, which is the only safe default for a cache that feeds
+published numbers.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import importlib
 import pathlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.store.cas import canonical_json_bytes
@@ -53,27 +53,41 @@ def canonicalize(value: Any) -> Any:
     )
 
 
-@lru_cache(maxsize=None)
-def code_fingerprint(modules: Tuple[str, ...]) -> str:
-    """SHA-256 over the source bytes of the named modules.
+#: Second-level subpackages (and top-level modules) of ``repro`` left out
+#: of the code fingerprint: they carry artifacts and telemetry but never
+#: shape artifact *content*, so hashing them would churn every cache key
+#: on infra-only changes.  ``supervise`` qualifies by the crashtest
+#: invariant itself: a crashed-and-resumed run is byte-identical to a
+#: clean one, so supervision can never shape bytes.
+EXEMPT_LAYERS = frozenset({"cli", "devtools", "errors", "obs", "store", "supervise"})
 
-    The module list is hashed in sorted order with name separators, so the
-    fingerprint is independent of declaration order but sensitive to both
-    renames and content changes.  Cached per-process: stage wrappers call
-    this on every stage execution.
+#: The ``repro`` package directory the fingerprint hashes.
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@lru_cache(maxsize=None)
+def code_fingerprint(root: Optional[pathlib.Path] = None) -> str:
+    """SHA-256 over the source of every artifact-shaping ``repro`` module.
+
+    Hashes each ``*.py`` file under the package directory in sorted
+    relative-path order, path and bytes ``\x00``-separated, skipping the
+    :data:`EXEMPT_LAYERS`.  Every stage shares this one fingerprint, so
+    coverage holds by construction: editing any non-exempt module
+    invalidates every cached artifact, the safe direction to err for a
+    cache that feeds published numbers.  Only files are read — nothing is
+    imported.  ``root`` exists for tests that fingerprint a copy of the
+    package.  Cached per process.
     """
+    package = _PACKAGE_ROOT if root is None else pathlib.Path(root)
     hasher = hashlib.sha256()
-    for name in sorted(set(modules)):
-        try:
-            module = importlib.import_module(name)
-        except ImportError as exc:
-            raise StoreError(f"cannot fingerprint module {name!r}: {exc}") from exc
-        source = getattr(module, "__file__", None)
-        if source is None:
-            raise StoreError(f"module {name!r} has no source file to fingerprint")
-        hasher.update(name.encode("utf-8"))
+    for relative in sorted(
+        path.relative_to(package).as_posix() for path in package.rglob("*.py")
+    ):
+        if relative.split("/")[0].removesuffix(".py") in EXEMPT_LAYERS:
+            continue
+        hasher.update(relative.encode("utf-8"))
         hasher.update(b"\x00")
-        hasher.update(pathlib.Path(source).read_bytes())
+        hasher.update((package / relative).read_bytes())
         hasher.update(b"\x00")
     return hasher.hexdigest()
 

@@ -6,6 +6,7 @@ directly; production code outside ``repro/service`` may not.
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -96,3 +97,28 @@ class TestLiveServer:
         for thread in threads:
             thread.join(timeout=10)
         assert results == [200] * 12
+
+
+class TestIdleConnections:
+    def test_idle_sockets_do_not_starve_healthz(self, service_controller):
+        """Connections that never send a request hold no handler permit."""
+        router = ServiceRouter(
+            service_controller.records, observer=Observer(name="idle-test")
+        )
+        server = serve(router, port=0, workers=2)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        idle = []
+        try:
+            host, port = server.server_address[:2]
+            for _ in range(2):
+                idle.append(socket.create_connection((host, port), timeout=5))
+            status, _headers, _body = fetch(server, "/healthz")
+            assert status == 200
+        finally:
+            for sock in idle:
+                sock.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()

@@ -7,7 +7,8 @@ import pytest
 from repro.errors import StoreError
 from repro.obs import Observer
 from repro.store import ArtifactStore, Stage, StateCursor, open_store
-from repro.store.admin import gc, iter_index, ls_lines, verify
+from repro.cli import main as cli_main
+from repro.store.admin import fingerprint_drift, gc, iter_index, ls_lines, verify
 from repro.store.config import STORE_ENV, resolve_store_dir
 from repro.store.ledger import Ledger
 
@@ -16,7 +17,6 @@ def make_stage(name="double"):
     """A stage whose artifact is a plain dict (identity encode/decode)."""
     return Stage(
         name=name,
-        modules=("repro.sim.rng",),
         encode=lambda artifact: dict(artifact),
         decode=lambda payload: dict(payload),
     )
@@ -173,7 +173,6 @@ class TestCorruption:
 
         exploding = Stage(
             name="double",
-            modules=("repro.sim.rng",),
             encode=lambda artifact: dict(artifact),
             decode=lambda payload: (_ for _ in ()).throw(KeyError("gone")),
         )
@@ -278,6 +277,36 @@ class TestAdmin:
             parsed = json.loads(entry.path.read_text(encoding="utf-8"))
             assert parsed["kind"] == "store-index"
             assert parsed["object"] == entry.object_digest
+
+
+class TestStoreDrift:
+    """``repro store verify`` reports artifacts computed under other code."""
+
+    def test_clean_store_reports_no_drift(self, tmp_path, capsys):
+        root = tmp_path / "s"
+        store = ArtifactStore(root)
+        store.run(make_stage("a"), {"seed": 1}, CountingCompute(1))
+        assert fingerprint_drift(store) == []
+        assert cli_main(["store", "verify", "--store", str(root)]) == 0
+        assert "[verify: 0 problem(s), 0 drifted]" in capsys.readouterr().out
+
+    def test_stale_fingerprint_reports_drift(self, tmp_path, capsys, monkeypatch):
+        root = tmp_path / "s"
+        store = ArtifactStore(root)
+        store.run(make_stage("a"), {"seed": 1}, CountingCompute(1))
+        # Stage b's artifact is recorded under an older code state.
+        monkeypatch.setattr(
+            "repro.store.checkpoint.code_fingerprint", lambda: "0" * 64
+        )
+        store.run(make_stage("b"), {"seed": 1}, CountingCompute(2))
+        monkeypatch.undo()
+        (line,) = fingerprint_drift(store)
+        assert line.startswith("drift b key=")
+        assert "000000000000" in line
+        assert cli_main(["store", "verify", "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("drift b key=") == 1
+        assert "[verify: 0 problem(s), 1 drifted]" in out
 
 
 class TestConfig:

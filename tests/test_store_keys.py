@@ -7,13 +7,18 @@ code fingerprint, upstream digests, the RNG cursor).
 """
 
 import enum
+import pathlib
+import shutil
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import StoreError
 from repro.store.keys import CacheKey, canonicalize, code_fingerprint
+
+PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 
 _scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=12)
 _values = st.recursive(
@@ -115,16 +120,56 @@ class TestCanonicalize:
 
 
 class TestCodeFingerprint:
-    def test_module_order_never_matters(self):
-        a = code_fingerprint(("repro.sim.rng", "repro.sim.clock"))
-        b = code_fingerprint(("repro.sim.clock", "repro.sim.rng"))
-        assert a == b
+    """One package-wide fingerprint: coverage holds by construction."""
 
-    def test_module_set_is_load_bearing(self):
-        a = code_fingerprint(("repro.sim.rng",))
-        b = code_fingerprint(("repro.sim.clock",))
-        assert a != b
+    @pytest.fixture
+    def package(self, tmp_path):
+        """A byte-identical copy of the ``repro`` package to edit."""
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            PACKAGE_ROOT, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        return copy
 
-    def test_unknown_module_rejected(self):
-        with pytest.raises(StoreError, match="cannot fingerprint"):
-            code_fingerprint(("repro.no_such_module",))
+    @staticmethod
+    def fingerprint(root):
+        # Bypass the per-process cache: these tests edit files in place.
+        return code_fingerprint.__wrapped__(root)
+
+    def test_copy_fingerprints_like_the_package(self, package):
+        assert self.fingerprint(package) == code_fingerprint()
+        assert len(code_fingerprint()) == 64
+
+    @pytest.mark.parametrize(
+        "relative", ["crypto/__init__.py", "experiments/fig3_geomap.py"]
+    )
+    def test_edit_to_any_measurement_module_changes_it(self, package, relative):
+        before = self.fingerprint(package)
+        with open(package / relative, "a", encoding="utf-8") as handle:
+            handle.write("\n# edited\n")
+        assert self.fingerprint(package) != before
+
+    def test_added_module_changes_it(self, package):
+        before = self.fingerprint(package)
+        (package / "sim" / "extra.py").write_text("VALUE = 1\n")
+        assert self.fingerprint(package) != before
+
+    @pytest.mark.parametrize("relative", ["obs/metrics.py", "errors.py"])
+    def test_edit_to_an_exempt_layer_leaves_it(self, package, relative):
+        before = self.fingerprint(package)
+        with open(package / relative, "a", encoding="utf-8") as handle:
+            handle.write("\n# edited\n")
+        assert self.fingerprint(package) == before
+
+    def test_stray_bytecode_leaves_it(self, package):
+        before = self.fingerprint(package)
+        cache = package / "sim" / "__pycache__"
+        cache.mkdir()
+        (cache / "rng.cpython-311.pyc").write_bytes(b"\x00stale")
+        assert self.fingerprint(package) == before
+
+    def test_fingerprinting_imports_nothing(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "boom.py").write_text("raise SystemExit('imported')\n")
+        assert len(self.fingerprint(package)) == 64

@@ -11,7 +11,6 @@ from repro.store.admin import iter_index, retain_recent_runs
 def make_stage(name):
     return Stage(
         name=name,
-        modules=("repro.store.cas",),
         encode=lambda value: {"value": value},
         decode=lambda data: data["value"],
     )

@@ -32,7 +32,6 @@ VALID_LINE = (
 def make_stage(name="demo"):
     return Stage(
         name=name,
-        modules=("json",),
         encode=lambda value: {"value": value},
         decode=lambda payload: payload["value"],
     )
