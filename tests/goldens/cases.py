@@ -34,9 +34,11 @@ def pipeline_artifacts(
     The profile is pinned explicitly (never read from ``REPRO_FAULTS``) so
     the goldens mean the same bytes no matter what environment CI exports.
     """
+    from repro import io as repro_io
     from repro.experiments import run_fig1, run_fig2
     from repro.experiments.pipeline import MeasurementPipeline
     from repro.obs import render_text
+    from repro.store import digest_of
 
     pipeline = MeasurementPipeline(
         seed=PIPELINE_SEED,
@@ -54,6 +56,18 @@ def pipeline_artifacts(
         # Pinning it as a golden makes the snapshot itself subject to the
         # byte-identical-at-any-worker-count contract.
         "metrics_small": render_text(pipeline.observer),
+        # Content addresses of the four checkpointed stage artifacts: the
+        # store's encoding of each, pinned byte-for-byte through its digest.
+        "store_payloads": {
+            "scan": digest_of(repro_io.scan_to_dict(pipeline.scan())),
+            "certificates": digest_of(
+                repro_io.certificates_to_dict(pipeline.certificates())
+            ),
+            "crawl": digest_of(repro_io.crawl_to_dict(pipeline.crawl())),
+            "classify": digest_of(
+                repro_io.classification_to_dict(pipeline.classify())
+            ),
+        },
     }
 
 
@@ -62,9 +76,12 @@ def faulted_pipeline_artifacts(workers: Optional[int] = None) -> dict:
     return pipeline_artifacts(workers=workers, fault_profile=FAULTED_PROFILE)
 
 
-def table2_artifact(workers: Optional[int] = None) -> str:
-    """Table II report + ranking text for the tiny sweep."""
+def table2_artifact(workers: Optional[int] = None) -> dict:
+    """Table II report + ranking text for the tiny sweep, plus the digest
+    of the store payload the same run would checkpoint."""
     from repro.experiments import run_table2
+    from repro.experiments.table2_popularity import _table2_to_payload
+    from repro.store import digest_of
 
     result = run_table2(
         seed=TABLE2_SEED,
@@ -74,7 +91,12 @@ def table2_artifact(workers: Optional[int] = None) -> str:
         relays_per_ip=16,
         workers=workers,
     )
-    return result.report.format() + "\n\n" + result.ranking.format_table(limit=20)
+    return {
+        "table2_small": (
+            result.report.format() + "\n\n" + result.ranking.format_table(limit=20)
+        ),
+        "store_payload": digest_of(_table2_to_payload(result)),
+    }
 
 
 def build_sec7_world():
@@ -105,11 +127,18 @@ def _golden_fig1_faulted() -> str:
 
 
 def _golden_table2() -> str:
-    return table2_artifact(workers=1)
+    return table2_artifact(workers=1)["table2_small"]
 
 
 def _golden_metrics() -> str:
     return pipeline_artifacts(workers=1)["metrics_small"]
+
+
+def _golden_store_payloads() -> str:
+    """``stage digest`` lines for every checkpointed small-world artifact."""
+    digests = dict(pipeline_artifacts(workers=1)["store_payloads"])
+    digests["table2"] = table2_artifact(workers=1)["store_payload"]
+    return "\n".join(f"{stage} {digest}" for stage, digest in digests.items())
 
 
 def _golden_bench_schema() -> str:
@@ -142,5 +171,6 @@ GOLDEN_CASES = {
     "fig1_small": _golden_fig1,
     "fig1_small_faulted": _golden_fig1_faulted,
     "metrics_small": _golden_metrics,
+    "store_payloads_small": _golden_store_payloads,
     "table2_small": _golden_table2,
 }

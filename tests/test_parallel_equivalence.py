@@ -62,13 +62,17 @@ class TestExperimentEquivalence:
 
     def test_fig1_and_fig2_byte_identical(self):
         runs = [pipeline_artifacts(workers=workers) for workers in WORKER_COUNTS]
-        for name in ("fig1_small", "fig2_small", "metrics_small"):
-            texts = {run[name] for run in runs}
-            assert len(texts) == 1, f"{name} differs across worker counts"
+        for name in ("fig1_small", "fig2_small", "metrics_small", "store_payloads"):
+            assert all(run[name] == runs[0][name] for run in runs), (
+                f"{name} differs across worker counts"
+            )
 
     def test_table2_byte_identical(self):
-        texts = {table2_artifact(workers=workers) for workers in WORKER_COUNTS}
-        assert len(texts) == 1, "table2 report differs across worker counts"
+        runs = [table2_artifact(workers=workers) for workers in WORKER_COUNTS]
+        for name in ("table2_small", "store_payload"):
+            assert all(run[name] == runs[0][name] for run in runs), (
+                f"table2 {name} differs across worker counts"
+            )
 
     def test_sec7_byte_identical(self):
         world = build_sec7_world()
