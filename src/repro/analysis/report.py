@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.analysis.stats import relative_error
+from repro.io import Header
 
 Number = Union[int, float]
 
@@ -34,6 +35,8 @@ class ComparisonRow:
 @dataclass
 class ExperimentReport:
     """A named collection of comparison rows plus free-form notes."""
+
+    codec_header = Header("experiment-report")
 
     experiment: str
     rows: List[ComparisonRow] = field(default_factory=list)

@@ -31,11 +31,7 @@ from repro.bench.schema import (
     Trajectory,
     WallStats,
     canonical_json,
-    record_from_dict,
-    record_to_dict,
     strip_timing,
-    trajectory_from_dict,
-    trajectory_to_dict,
 )
 from repro.bench.trajectory import (
     append_point,
@@ -66,11 +62,7 @@ __all__ = [
     "Trajectory",
     "WallStats",
     "canonical_json",
-    "record_from_dict",
-    "record_to_dict",
     "strip_timing",
-    "trajectory_from_dict",
-    "trajectory_to_dict",
     "append_point",
     "load_trajectory",
     "render_trajectory_text",

@@ -7,10 +7,12 @@ parameters, item count, and the result checksum that anchors the kernels'
 byte-equivalence — so two trajectories are diffable with ``strip_timing``
 and a golden can pin the format byte-for-byte.
 
-Loaders are strict: a missing field or an unknown schema version raises
-:class:`~repro.errors.BenchSchemaError` instead of guessing, exactly like
-the :mod:`repro.io` loaders (schema drift must fail loudly, not skew a
-comparison silently).
+Records and trajectories go through the one artifact codec,
+:func:`repro.io.encode` / :func:`repro.io.decode`: each carries a
+``schema`` stamp but no ``kind``, and a missing field, a wrong type or an
+unknown schema version raises :class:`~repro.errors.BenchSchemaError`
+instead of guessing (schema drift must fail loudly, not skew a comparison
+silently).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import BenchSchemaError
+from repro.io import Header
 
 #: Version stamped into every record and trajectory; bump on layout change.
 SCHEMA_VERSION = 1
@@ -38,18 +41,12 @@ class WallStats:
     max_seconds: float
     per_repeat_seconds: Tuple[float, ...]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "mean_seconds": self.mean_seconds,
-            "min_seconds": self.min_seconds,
-            "max_seconds": self.max_seconds,
-            "per_repeat_seconds": list(self.per_repeat_seconds),
-        }
-
 
 @dataclass(frozen=True)
 class BenchRecord:
     """One trajectory point: one measured run of one workload spec."""
+
+    codec_header = Header(schema=SCHEMA_VERSION, error=BenchSchemaError)
 
     name: str
     hot_path: str
@@ -69,6 +66,8 @@ class BenchRecord:
 class Trajectory:
     """The ordered perf history stored in one ``BENCH_<name>.json``."""
 
+    codec_header = Header(schema=SCHEMA_VERSION, error=BenchSchemaError)
+
     name: str
     points: List[BenchRecord] = field(default_factory=list)
 
@@ -77,94 +76,6 @@ class Trajectory:
         if not self.points:
             raise BenchSchemaError(f"trajectory {self.name!r} has no points")
         return self.points[-1]
-
-
-def _field(data: Mapping[str, Any], key: str, kinds, where: str):
-    if key not in data:
-        raise BenchSchemaError(f"{where}: missing field {key!r}")
-    value = data[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise BenchSchemaError(
-            f"{where}: field {key!r} has type {type(value).__name__}"
-        )
-    return value
-
-
-def _check_schema(data: Mapping[str, Any], where: str) -> None:
-    version = _field(data, "schema", int, where)
-    if version != SCHEMA_VERSION:
-        raise BenchSchemaError(
-            f"{where}: schema version {version} does not match "
-            f"supported version {SCHEMA_VERSION}"
-        )
-
-
-def record_to_dict(record: BenchRecord) -> Dict[str, Any]:
-    """The JSON shape of one trajectory point (schema-stamped)."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": record.name,
-        "hot_path": record.hot_path,
-        "tier": record.tier,
-        "kernel": record.kernel,
-        "label": record.label,
-        "workers": record.workers,
-        "warmup": record.warmup,
-        "repeats": record.repeats,
-        "items": record.items,
-        "checksum": record.checksum,
-        "sim_seconds": record.sim_seconds,
-        "wall": record.wall.to_dict(),
-    }
-
-
-def record_from_dict(data: Mapping[str, Any]) -> BenchRecord:
-    """Strict decode of one trajectory point."""
-    where = "bench record"
-    _check_schema(data, where)
-    wall = _field(data, "wall", dict, where)
-    per_repeat = _field(wall, "per_repeat_seconds", list, "bench record wall")
-    return BenchRecord(
-        name=_field(data, "name", str, where),
-        hot_path=_field(data, "hot_path", str, where),
-        tier=_field(data, "tier", str, where),
-        kernel=_field(data, "kernel", str, where),
-        label=_field(data, "label", str, where),
-        workers=_field(data, "workers", int, where),
-        warmup=_field(data, "warmup", int, where),
-        repeats=_field(data, "repeats", int, where),
-        items=_field(data, "items", int, where),
-        checksum=_field(data, "checksum", str, where),
-        sim_seconds=_field(data, "sim_seconds", int, where),
-        wall=WallStats(
-            mean_seconds=_field(wall, "mean_seconds", (int, float), where),
-            min_seconds=_field(wall, "min_seconds", (int, float), where),
-            max_seconds=_field(wall, "max_seconds", (int, float), where),
-            per_repeat_seconds=tuple(float(v) for v in per_repeat),
-        ),
-    )
-
-
-def trajectory_to_dict(trajectory: Trajectory) -> Dict[str, Any]:
-    """The JSON shape of a whole ``BENCH_<name>.json`` document."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": trajectory.name,
-        "points": [record_to_dict(point) for point in trajectory.points],
-    }
-
-
-def trajectory_from_dict(data: Mapping[str, Any]) -> Trajectory:
-    """Strict decode of a whole trajectory document."""
-    where = "bench trajectory"
-    if not isinstance(data, Mapping):
-        raise BenchSchemaError(f"{where}: document is not an object")
-    _check_schema(data, where)
-    points = _field(data, "points", list, where)
-    return Trajectory(
-        name=_field(data, "name", str, where),
-        points=[record_from_dict(point) for point in points],
-    )
 
 
 def canonical_json(data: Mapping[str, Any]) -> str:

@@ -12,13 +12,8 @@ import re
 from pathlib import Path
 from typing import Union
 
-from repro.bench.schema import (
-    BenchRecord,
-    Trajectory,
-    canonical_json,
-    trajectory_from_dict,
-    trajectory_to_dict,
-)
+from repro import io as repro_io
+from repro.bench.schema import BenchRecord, Trajectory, canonical_json
 from repro.errors import BenchError, BenchSchemaError
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -40,13 +35,13 @@ def load_trajectory(path: Union[str, Path]) -> Trajectory:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as error:
         raise BenchSchemaError(f"{path} is not valid JSON: {error}") from error
-    return trajectory_from_dict(data)
+    return repro_io.decode(Trajectory, data)
 
 
 def write_trajectory(path: Union[str, Path], trajectory: Trajectory) -> None:
     """Write ``trajectory`` canonically (stable bytes for stable content)."""
     Path(path).write_text(
-        canonical_json(trajectory_to_dict(trajectory)), encoding="utf-8"
+        canonical_json(repro_io.encode(trajectory)), encoding="utf-8"
     )
 
 

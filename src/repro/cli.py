@@ -534,7 +534,7 @@ def _emit(report: ExperimentReport, extra: str = "", json_path: Optional[str] = 
         print()
         print(extra)
     if json_path:
-        repro_io.save_json(repro_io.report_to_dict(report), json_path)
+        repro_io.save_json(repro_io.encode(report), json_path)
         print(f"\n[report archived to {json_path}]")
 
 
@@ -1004,9 +1004,9 @@ def _campaign_document(pipeline) -> dict:
     from repro.experiments import run_fig1, run_fig2, run_table1
 
     return {
-        "fig1": repro_io.report_to_dict(run_fig1(pipeline=pipeline).report),
-        "table1": repro_io.report_to_dict(run_table1(pipeline=pipeline).report),
-        "fig2": repro_io.report_to_dict(run_fig2(pipeline=pipeline).report),
+        "fig1": repro_io.encode(run_fig1(pipeline=pipeline).report),
+        "table1": repro_io.encode(run_table1(pipeline=pipeline).report),
+        "fig2": repro_io.encode(run_fig2(pipeline=pipeline).report),
     }
 
 
@@ -1103,7 +1103,7 @@ def _run_crashtest(args) -> int:
         )
 
     if args.manifest_out:
-        repro_io.save_json(manifest.to_dict(), args.manifest_out)
+        repro_io.save_json(repro_io.encode(manifest), args.manifest_out)
         print(f"[completeness manifest archived to {args.manifest_out}]")
 
     summary = ExperimentReport(experiment="crashtest")

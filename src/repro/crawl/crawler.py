@@ -16,6 +16,7 @@ from repro.crypto.onion import OnionAddress
 from repro.errors import CrawlError
 from repro.faults.retry import RetryPolicy, connect_with_retry
 from repro.faults.taxonomy import FailureCategory, FailureTaxonomy
+from repro.io import Header
 from repro.net.endpoint import ConnectOutcome
 from repro.net.transport import TorTransport
 from repro.obs.scope import Observer, ensure_observer
@@ -29,6 +30,8 @@ from repro.sim.clock import Timestamp
 class CrawlResults:
     """Everything the crawl produced, plus funnel counters."""
 
+    codec_header = Header("crawl-results")
+
     pages: List[FetchedPage] = field(default_factory=list)
     tried: int = 0
     open_at_crawl: int = 0
@@ -39,8 +42,12 @@ class CrawlResults:
     # O(1) instead of a linear scan per lookup (the classifier does one
     # lookup per classified destination).
     _page_index: Dict[Tuple[OnionAddress, int], FetchedPage] = field(
-        default_factory=dict, repr=False, compare=False
+        init=False, default_factory=dict, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        for page in self.pages:
+            self._page_index.setdefault(page.destination, page)
 
     def by_kind(self, kind: PageKind) -> List[FetchedPage]:
         """Pages of one kind."""

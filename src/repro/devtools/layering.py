@@ -58,6 +58,10 @@ FORBIDDEN_IMPORTS: Dict[str, frozenset] = {
     # payload-agnostic: stages hand it encode/decode callables, so it
     # never needs (and must never take) a measurement-layer import.
     "store": _MEASUREMENT_LAYERS,
+    # The artifact codec is payload-agnostic too: artifact classes declare
+    # their format (header, field metadata) and import it, never the
+    # other way around.
+    "io": _MEASUREMENT_LAYERS,
     # The supervision plane restarts pipelines it is handed as opaque
     # factories; lower layers receive its crash hook as a plain callable.
     # Neither direction justifies a measurement import.

@@ -28,6 +28,7 @@ from repro.faults import (
     default_retry_policy,
     wrap_transport,
 )
+from repro.io import Header
 from repro.net.transport import TorTransport
 from repro.obs.scope import Observer, ensure_observer
 from repro.parallel import QUARANTINED, ShardQuarantine, pmap, resolve_workers
@@ -93,17 +94,22 @@ def _classify_page(
     return language, False, topic
 
 
+@dataclasses.dataclass
 class ClassificationOutcome:
-    """Language and topic assignments over the classifiable pages."""
+    """Language and topic assignments over the classifiable pages.
 
-    def __init__(self) -> None:
-        self.language_counts: Dict[str, int] = {}
-        self.topic_counts: Dict[str, int] = {}
-        self.torhost_default_count = 0
-        self.english_pages = 0
-        self.classified_pages = 0
-        self.page_languages: Dict[Tuple[str, int], str] = {}
-        self.page_topics: Dict[Tuple[str, int], str] = {}
+    The per-page maps (and their encodings) keep crawl order.
+    """
+
+    codec_header = Header("classification-outcome")
+
+    language_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
+    topic_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
+    torhost_default_count: int = 0
+    english_pages: int = 0
+    classified_pages: int = 0
+    page_languages: Dict[Tuple[str, int], str] = dataclasses.field(default_factory=dict)
+    page_topics: Dict[Tuple[str, int], str] = dataclasses.field(default_factory=dict)
 
     @property
     def english_fraction(self) -> float:
@@ -234,8 +240,7 @@ class MeasurementPipeline:
     def _run_stage(
         self,
         name: str,
-        encode: Callable[[Any], Dict[str, Any]],
-        decode: Callable[[Dict[str, Any]], Any],
+        artifact: type,
         compute: Callable[[], Any],
         upstream: Tuple[str, ...] = (),
     ) -> Any:
@@ -252,9 +257,8 @@ class MeasurementPipeline:
         if self.store is None:
             result = compute()
         else:
-            stage = Stage(name=name, encode=encode, decode=decode)
             result = self.store.run(
-                stage,
+                Stage.of(name, artifact),
                 self._store_config(),
                 compute,
                 cursor=_TransportCursor(self.transport),
@@ -269,14 +273,7 @@ class MeasurementPipeline:
     def scan(self) -> ScanResults:
         """Stage 1: the 8-day port scan (Section III)."""
         if self._scan is None:
-            from repro import io as repro_io
-
-            self._scan = self._run_stage(
-                "scan",
-                repro_io.scan_to_dict,
-                repro_io.scan_from_dict,
-                self._compute_scan,
-            )
+            self._scan = self._run_stage("scan", ScanResults, self._compute_scan)
         return self._scan
 
     def _compute_scan(self) -> ScanResults:
@@ -291,13 +288,10 @@ class MeasurementPipeline:
     def certificates(self) -> CertificateAnalysis:
         """Stage 1b: HTTPS certificate analysis (Section III)."""
         if self._certs is None:
-            from repro import io as repro_io
-
             self.scan()  # the upstream artifact feeds this stage's key
             self._certs = self._run_stage(
                 "certificates",
-                repro_io.certificates_to_dict,
-                repro_io.certificates_from_dict,
+                CertificateAnalysis,
                 self._compute_certificates,
                 upstream=("scan",),
             )
@@ -316,13 +310,10 @@ class MeasurementPipeline:
     def crawl(self) -> CrawlResults:
         """Stage 2: the HTTP(S) crawl two months later (Section IV)."""
         if self._crawl is None:
-            from repro import io as repro_io
-
             self.scan()
             self._crawl = self._run_stage(
                 "crawl",
-                repro_io.crawl_to_dict,
-                repro_io.crawl_from_dict,
+                CrawlResults,
                 self._compute_crawl,
                 upstream=("scan",),
             )
@@ -356,13 +347,10 @@ class MeasurementPipeline:
         exactly.
         """
         if self._classification is None:
-            from repro import io as repro_io
-
             self.crawl()
             self._classification = self._run_stage(
                 "classify",
-                repro_io.classification_to_dict,
-                repro_io.classification_from_dict,
+                ClassificationOutcome,
                 self._compute_classify,
                 upstream=("crawl",),
             )

@@ -10,8 +10,9 @@ addresses and *investigate* the anonymous head (the Goldnet forensics).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro import io as repro_io
 from repro.analysis.report import ExperimentReport
 from repro.client.workload import PopularityWorkload, WorkloadReport
 from repro.crypto.keys import KeyPair
@@ -93,18 +94,19 @@ class Table2Result:
     """
 
     ranking: PopularityRanking
-    resolution: Optional[ResolutionResult] = None
-    workload_report: Optional[WorkloadReport] = None
+    resolution: Optional[ResolutionResult] = repro_io.transient()
+    workload_report: Optional[WorkloadReport] = repro_io.transient()
     total_requests_observed: int = 0
     unique_ids_observed: int = 0
-    goldnet_findings: List[GoldnetFinding] = field(default_factory=list)
+    #: Already folded into the ranking labels and the report.
+    goldnet_findings: List[GoldnetFinding] = repro_io.transient(list)
     report: ExperimentReport = field(default_factory=lambda: ExperimentReport("table2"))
     label_to_onion: Dict[str, OnionAddress] = field(default_factory=dict)
     #: Traffic-shape label (``machine``/``human``/``low-volume``) per
     #: resolved onion, from the batched shape kernel over the attacker's
     #: merged request logs.  Intermediate state like ``resolution``: ``None``
     #: when replayed from a store checkpoint.
-    shape_labels: Optional[Dict[OnionAddress, str]] = None
+    shape_labels: Optional[Dict[OnionAddress, str]] = repro_io.transient()
 
     def rank_of_label(self, label: str) -> Optional[int]:
         """Measured rank of a ground-truth-labelled service."""
@@ -176,38 +178,6 @@ def _build_honest_network(
     return network, pool
 
 
-def _table2_to_payload(result: Table2Result) -> Dict[str, Any]:
-    """Checkpoint encoding: the report, ranking and Section V aggregates.
-
-    Intermediate state (resolution internals, per-slice workload report,
-    goldnet findings already folded into the ranking labels and report)
-    deliberately stays out — nothing the CLI or benches emit needs it.
-    """
-    from repro import io as repro_io
-
-    return {
-        "report": repro_io.report_to_dict(result.report),
-        "ranking": repro_io.ranking_to_dict(result.ranking),
-        "total_requests_observed": result.total_requests_observed,
-        "unique_ids_observed": result.unique_ids_observed,
-        "label_to_onion": dict(result.label_to_onion),
-    }
-
-
-def _table2_from_payload(data: Dict[str, Any]) -> Table2Result:
-    """Inverse of :func:`_table2_to_payload` (intermediates stay None)."""
-    from repro import io as repro_io
-
-    result = Table2Result(
-        ranking=repro_io.ranking_from_dict(data["ranking"]),
-        total_requests_observed=data["total_requests_observed"],
-        unique_ids_observed=data["unique_ids_observed"],
-        label_to_onion=dict(data["label_to_onion"]),
-    )
-    result.report = repro_io.report_from_dict(data["report"])
-    return result
-
-
 def run_table2(
     seed: int = 0,
     scale: float = 1.0,
@@ -260,11 +230,7 @@ def run_table2(
 
     if store is None:
         return compute()
-    stage = Stage(
-        name="table2",
-        encode=_table2_to_payload,
-        decode=_table2_from_payload,
-    )
+    stage = Stage.of("table2", Table2Result)
     config = {
         "seed": seed,
         "population": {"seed": population.seed, "spec": asdict(population.spec)},

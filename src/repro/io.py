@@ -1,338 +1,300 @@
-"""Artifact (de)serialisation.
+"""Artifact (de)serialisation: one strict codec for every dataclass artifact.
 
-Experiments produce reports, rankings, distributions, scan/crawl results
-and classification outcomes; this module turns them into plain
-JSON-compatible dictionaries and back, so benchmark runs can be archived,
-diffed across seeds, loaded into notebooks without re-running multi-minute
-pipelines — and checkpointed by :mod:`repro.store`, whose content
-addresses are hashes of exactly these encodings.
-
-Loaders are strict: a missing field or an unsupported ``schema`` version
-raises :class:`~repro.errors.ReproError` (never a bare ``KeyError``), so
-a damaged or future-format artifact fails loudly at the boundary instead
-of deep inside an experiment.
+:func:`encode` turns any artifact (report, ranking, scan or crawl result,
+experiment result, bench trajectory, completeness manifest, ...) into a
+JSON-compatible dict and :func:`decode` turns it back; :mod:`repro.store`
+content-addresses exactly these encodings.  The format is declared on the
+classes — a ``codec_header`` (:class:`Header`), :data:`SORTED_ROWS` and
+:func:`transient` fields — never coded per type here (DESIGN.md §6.4).
+Decode is strict: a missing field, a wrong ``kind`` or ``schema``, or a
+JSON type that does not match the annotation (a bool never passes as an
+int; an int passes as a float) raises the caller's error naming the field
+and where it is.  :func:`check_field`/:func:`check_schema` are that one
+check.  This module imports no measurement code.
 """
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+import enum
+import functools
 import json
 import pathlib
-from typing import Any, Dict, List, Union
+import typing
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Mapping, Optional, Type, TypeVar, Union
 
-from repro.analysis.report import ComparisonRow, ExperimentReport
-from repro.crawl.crawler import CrawlResults
-from repro.crawl.page import FetchedPage, PageKind
 from repro.errors import ReproError
-from repro.experiments.pipeline import ClassificationOutcome
-from repro.faults.taxonomy import FailureTaxonomy
-from repro.net.endpoint import ConnectOutcome
-from repro.popularity.ranking import PopularityRanking, RankedService
-from repro.popularity.timeseries import RequestTimeSeries
-from repro.scan.results import PortDistribution, ScanResults
-from repro.scan.tls import CertificateAnalysis
 
 PathLike = Union[str, pathlib.Path]
+T = TypeVar("T")
 
-_SCHEMA_VERSION = 1
-
-
-def report_to_dict(report: ExperimentReport) -> Dict[str, Any]:
-    """Serialise an :class:`ExperimentReport`."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "experiment-report",
-        "experiment": report.experiment,
-        "rows": [
-            {"label": row.label, "paper": row.paper, "measured": row.measured}
-            for row in report.rows
-        ],
-        "notes": list(report.notes),
-    }
+#: Field metadata: encode a tuple-keyed dict's rows in key order.
+SORTED_ROWS: Mapping[str, str] = MappingProxyType({"codec": "sorted-rows"})
 
 
-def report_from_dict(data: Dict[str, Any]) -> ExperimentReport:
-    """Inverse of :func:`report_to_dict`."""
-    _check_kind(data, "experiment-report")
-    report = ExperimentReport(experiment=_field(data, "experiment"))
-    for row in _field(data, "rows"):
-        report.rows.append(
-            ComparisonRow(
-                label=_field(row, "label", "report row"),
-                paper=_field(row, "paper", "report row"),
-                measured=_field(row, "measured", "report row"),
+def transient(factory: Optional[Callable[[], Any]] = None) -> Any:
+    """A dataclass field the codec leaves out, defaulting to ``factory()``
+    (or ``None``): an intermediate a decoded artifact goes without."""
+    metadata = {"codec": "transient"}
+    if factory is None:
+        return dataclasses.field(default=None, metadata=metadata)
+    return dataclasses.field(default_factory=factory, metadata=metadata)
+
+
+@dataclasses.dataclass(frozen=True)
+class Header:
+    """The stamp a class's encoding carries, and the error its decode raises."""
+
+    kind: Optional[str] = None
+    schema: int = 1
+    error: Type[ReproError] = ReproError
+
+
+# -- the one check ------------------------------------------------------------ #
+
+
+def _expect(value: Any, kinds: tuple, where: str, what: str, error: type) -> None:
+    if not isinstance(value, kinds) or (type(value) is bool and bool not in kinds):
+        raise error(f"{where}: {what} has type {type(value).__name__}")
+
+
+def check_field(
+    data: Mapping[str, Any],
+    name: str,
+    kinds: Optional[tuple],
+    where: str,
+    error: Type[ReproError] = ReproError,
+) -> Any:
+    """``data[name]``, whose type must be one of ``kinds`` (``None``: any).
+
+    Raises ``error`` naming ``where`` and the field when ``data`` is not
+    an object, the field is absent, or its value has the wrong type.
+    """
+    try:
+        value = data[name]
+    except KeyError:
+        raise error(f"{where}: missing field {name!r}") from None
+    except TypeError:
+        raise error(f"{where}: expected an object, got {type(data).__name__}") from None
+    if kinds is not None:
+        _expect(value, kinds, where, f"field {name!r}", error)
+    return value
+
+
+def check_schema(
+    data: Mapping[str, Any],
+    version: int,
+    where: str,
+    error: Type[ReproError] = ReproError,
+    kind: Optional[str] = None,
+) -> None:
+    """Check the ``kind`` (when given) and ``schema`` stamp of ``data``."""
+    if kind is not None:
+        found_kind = check_field(data, "kind", (str,), where, error)
+        if found_kind != kind:
+            raise error(f"{where}: expected artifact kind {kind!r}, got {found_kind!r}")
+    found = check_field(data, "schema", (int,), where, error)
+    if found > version:
+        raise error(
+            f"{where}: schema version {found} is newer than this build "
+            f"(reads up to {version}); upgrade to load it"
+        )
+    if found < version:
+        raise error(
+            f"{where}: unsupported schema version {found} (this build reads {version})"
+        )
+
+
+# -- converters ---------------------------------------------------------------- #
+#
+# A converter is ``(kinds, enc, dec)``: the JSON types a value may have
+# (``None``: any), ``enc(value)`` and ``dec(value, where, error)``.  A
+# ``None`` enc or dec is the identity, skipped on the hot path.
+
+_PRIMITIVES = {
+    str: (str,),
+    int: (int,),
+    float: (int, float),
+    bool: (bool,),
+    type(None): (type(None),),
+}
+
+
+def _compile(tp: Any, name: str, sorted_rows: bool = False) -> tuple:
+    """The converter for field ``name``, annotated ``tp``."""
+    if tp is Any:
+        return None, None, None
+    if tp in _PRIMITIVES:
+        return _PRIMITIVES[tp], None, None
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return _enum(tp, name)
+    if dataclasses.is_dataclass(tp):
+        return (
+            (dict,),
+            lambda obj: _plan(tp).encode(obj),
+            lambda value, where, error: _plan(tp).decode(value, f"{where}.{name}", error),
+        )
+    if tp is collections.Counter:
+        tp = typing.Counter[str]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union and all(arg in _PRIMITIVES for arg in args):
+        return tuple(kind for arg in args for kind in _PRIMITIVES[arg]), None, None
+    if origin in (list, set) or (origin is tuple and args[1:] == (Ellipsis,)):
+        return _sequence(origin, args[0], name)
+    if origin in (dict, collections.Counter):
+        key, value = (*args, int)[:2]
+        if typing.get_origin(key) is tuple:
+            return _rows(typing.get_args(key), value, name, sorted_rows)
+        if key is str:
+            return _mapping(value, name, origin)
+    raise ReproError(f"codec: unsupported annotation {tp!r} for field {name!r}")
+
+
+def _enum(cls: Type[enum.Enum], name: str) -> tuple:
+    def decode_enum(value: Any, where: str, error: type) -> enum.Enum:
+        try:
+            return cls(value)
+        except ValueError:
+            raise error(
+                f"{where}: field {name!r} has no {cls.__name__} value {value!r}"
+            ) from None
+
+    kinds = tuple(dict.fromkeys(type(member.value) for member in cls))
+    return kinds, lambda member: member.value, decode_enum
+
+
+def _sequence(origin: type, item: Any, name: str) -> tuple:
+    kinds, enc, dec = _compile(item, name)
+    what = f"field {name!r} item"
+
+    def encode_items(values):
+        items = list(values) if enc is None else [enc(value) for value in values]
+        return sorted(items) if origin is set else items
+
+    def decode_items(values: Any, where: str, error: type):
+        items = []
+        for value in values:
+            if kinds is not None:
+                _expect(value, kinds, where, what, error)
+            items.append(value if dec is None else dec(value, where, error))
+        return items if origin is list else origin(items)
+
+    return (list,), encode_items, decode_items
+
+
+def _mapping(value: Any, name: str, result: type) -> tuple:
+    kinds, enc, dec = _compile(value, name)
+    what = f"field {name!r} value"
+
+    def encode_mapping(mapping):
+        if enc is None:
+            return dict(mapping)
+        return {key: enc(item) for key, item in mapping.items()}
+
+    def decode_mapping(mapping: Any, where: str, error: type):
+        decoded = {}
+        for key, item in mapping.items():
+            if kinds is not None:
+                _expect(item, kinds, where, what, error)
+            decoded[key] = item if dec is None else dec(item, where, error)
+        return decoded if result is dict else result(decoded)
+
+    return (dict,), encode_mapping, decode_mapping
+
+
+def _rows(key_types: tuple, value: Any, name: str, sorted_rows: bool) -> tuple:
+    cells = [_compile(cell, name) for cell in (*key_types, value)]
+    if any(enc is not None or dec is not None for _, enc, dec in cells[:-1]):
+        raise ReproError(f"codec: tuple-key cells must be primitives ({name!r})")
+    cell_kinds = [kinds for kinds, _, _ in cells]
+    _, value_enc, value_dec = cells[-1]
+    what = f"field {name!r} row cell"
+
+    def encode_rows(mapping):
+        items = mapping.items()
+        if sorted_rows:
+            items = sorted(items, key=lambda row: row[0])
+        if value_enc is None:
+            return [[*key, item] for key, item in items]
+        return [[*key, value_enc(item)] for key, item in items]
+
+    def decode_rows(rows: Any, where: str, error: type):
+        decoded = {}
+        for row in rows:
+            if not isinstance(row, list) or len(row) != len(cells):
+                raise error(f"{where}: field {name!r} row is not a {len(cells)}-cell list")
+            for cell, kinds in zip(row, cell_kinds):
+                if kinds is not None:
+                    _expect(cell, kinds, where, what, error)
+            item = row[-1]
+            decoded[tuple(row[:-1])] = (
+                item if value_dec is None else value_dec(item, where, error)
             )
-        )
-    report.notes = list(data.get("notes", []))
-    return report
+        return decoded
+
+    return (list,), encode_rows, decode_rows
 
 
-def ranking_to_dict(ranking: PopularityRanking, limit: int = 0) -> Dict[str, Any]:
-    """Serialise a popularity ranking (``limit=0`` keeps every row)."""
-    rows = ranking.rows if limit <= 0 else ranking.rows[:limit]
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "popularity-ranking",
-        "rows": [
-            {
-                "rank": row.rank,
-                "requests": row.requests,
-                "onion": row.onion,
-                "description": row.description,
-            }
-            for row in rows
-        ],
-    }
+# -- per-class plans ----------------------------------------------------------- #
 
 
-def ranking_from_dict(data: Dict[str, Any]) -> PopularityRanking:
-    """Inverse of :func:`ranking_to_dict`."""
-    _check_kind(data, "popularity-ranking")
-    ranking = PopularityRanking()
-    for row in _field(data, "rows"):
-        ranked = RankedService(
-            rank=_field(row, "rank", "ranking row"),
-            requests=_field(row, "requests", "ranking row"),
-            onion=_field(row, "onion", "ranking row"),
-            description=row.get("description", "<n/a>"),
-        )
-        ranking.rows.append(ranked)
-        ranking._rank_by_onion[ranked.onion] = ranked.rank
-    return ranking
+class _Plan:
+    """One class's field walk: built on first use, then reused."""
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        self.header: Optional[Header] = getattr(cls, "codec_header", None)
+        self.where = (self.header and self.header.kind) or cls.__name__
+        hints = typing.get_type_hints(cls)
+        self.fields = []
+        for spec in dataclasses.fields(cls):
+            marker = spec.metadata.get("codec")
+            if spec.init and marker != "transient":
+                sorted_rows = marker == "sorted-rows"
+                converter = _compile(hints[spec.name], spec.name, sorted_rows)
+                self.fields.append((spec.name, *converter))
+
+    def encode(self, obj: Any) -> Dict[str, Any]:
+        data: Dict[str, Any] = {}
+        if self.header is not None:
+            data["schema"] = self.header.schema
+            if self.header.kind is not None:
+                data["kind"] = self.header.kind
+        for name, _kinds, enc, _dec in self.fields:
+            value = getattr(obj, name)
+            data[name] = value if enc is None else enc(value)
+        return data
+
+    def decode(self, data: Any, where: str, error: type) -> Any:
+        if self.header is not None:
+            check_schema(data, self.header.schema, where, error, self.header.kind)
+        values = {}
+        for name, kinds, _enc, dec in self.fields:
+            value = check_field(data, name, kinds, where, error)
+            values[name] = value if dec is None else dec(value, where, error)
+        return self.cls(**values)
 
 
-def distribution_to_dict(distribution: PortDistribution) -> Dict[str, Any]:
-    """Serialise a Fig 1 port distribution."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "port-distribution",
-        "counts": dict(distribution.counts),
-        "unique_ports": distribution.unique_ports,
-        "total_open": distribution.total_open,
-    }
+@functools.lru_cache(maxsize=None)
+def _plan(cls: type) -> _Plan:
+    return _Plan(cls)
 
 
-def distribution_from_dict(data: Dict[str, Any]) -> PortDistribution:
-    """Inverse of :func:`distribution_to_dict`."""
-    _check_kind(data, "port-distribution")
-    return PortDistribution(
-        counts=dict(_field(data, "counts")),
-        unique_ports=_field(data, "unique_ports"),
-        total_open=_field(data, "total_open"),
-    )
+def encode(obj: Any) -> Dict[str, Any]:
+    """The JSON-compatible encoding of dataclass artifact ``obj``."""
+    return _plan(type(obj)).encode(obj)
 
 
-# -- failure taxonomy (inline fragment, no kind header) ---------------------- #
+def decode(cls: Type[T], data: Any) -> T:
+    """Strict inverse of :func:`encode`: rebuild a ``cls`` from ``data``."""
+    plan = _plan(cls)
+    error = plan.header.error if plan.header is not None else ReproError
+    return plan.decode(data, plan.where, error)
 
 
-def _taxonomy_to_dict(taxonomy: FailureTaxonomy) -> Dict[str, int]:
-    return {
-        "transient_recovered": taxonomy.transient_recovered,
-        "retries_exhausted": taxonomy.retries_exhausted,
-        "permanent": taxonomy.permanent,
-        "retry_attempts": taxonomy.retry_attempts,
-    }
-
-
-def _taxonomy_from_dict(data: Dict[str, Any]) -> FailureTaxonomy:
-    return FailureTaxonomy(
-        transient_recovered=_field(data, "transient_recovered", "failure taxonomy"),
-        retries_exhausted=_field(data, "retries_exhausted", "failure taxonomy"),
-        permanent=_field(data, "permanent", "failure taxonomy"),
-        retry_attempts=_field(data, "retry_attempts", "failure taxonomy"),
-    )
-
-
-# -- certificate analysis ---------------------------------------------------- #
-
-
-def certificates_to_dict(analysis: CertificateAnalysis) -> Dict[str, Any]:
-    """Serialise a Section III :class:`CertificateAnalysis`."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "certificate-analysis",
-        "total_certificates": analysis.total_certificates,
-        "self_signed_mismatch": analysis.self_signed_mismatch,
-        "dominant_cn": analysis.dominant_cn,
-        "dominant_cn_count": analysis.dominant_cn_count,
-        "public_dns_onions": list(analysis.public_dns_onions),
-        "cn_histogram": dict(analysis.cn_histogram),
-    }
-
-
-def certificates_from_dict(data: Dict[str, Any]) -> CertificateAnalysis:
-    """Inverse of :func:`certificates_to_dict`."""
-    _check_kind(data, "certificate-analysis")
-    analysis = CertificateAnalysis(
-        total_certificates=_field(data, "total_certificates"),
-        self_signed_mismatch=_field(data, "self_signed_mismatch"),
-        dominant_cn=_field(data, "dominant_cn"),
-        dominant_cn_count=_field(data, "dominant_cn_count"),
-        public_dns_onions=list(_field(data, "public_dns_onions")),
-    )
-    analysis.cn_histogram.update(_field(data, "cn_histogram"))
-    return analysis
-
-
-# -- crawl results ----------------------------------------------------------- #
-
-
-def _page_to_dict(page: FetchedPage) -> Dict[str, Any]:
-    return {
-        "onion": page.onion,
-        "port": page.port,
-        "scheme": page.scheme,
-        "kind": page.kind.value,
-        "status": page.status,
-        "text": page.text,
-        "error": page.error,
-        "attempts": page.attempts,
-    }
-
-
-def _page_from_dict(data: Dict[str, Any]) -> FetchedPage:
-    return FetchedPage(
-        onion=_field(data, "onion", "crawled page"),
-        port=_field(data, "port", "crawled page"),
-        scheme=_field(data, "scheme", "crawled page"),
-        kind=PageKind(_field(data, "kind", "crawled page")),
-        status=_field(data, "status", "crawled page"),
-        text=_field(data, "text", "crawled page"),
-        error=_field(data, "error", "crawled page"),
-        attempts=data.get("attempts", 1),
-    )
-
-
-def crawl_to_dict(crawl: CrawlResults) -> Dict[str, Any]:
-    """Serialise a :class:`CrawlResults` (pages in crawl order)."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "crawl-results",
-        "pages": [_page_to_dict(page) for page in crawl.pages],
-        "tried": crawl.tried,
-        "open_at_crawl": crawl.open_at_crawl,
-        "connected": crawl.connected,
-        "failures": _taxonomy_to_dict(crawl.failures),
-    }
-
-
-def crawl_from_dict(data: Dict[str, Any]) -> CrawlResults:
-    """Inverse of :func:`crawl_to_dict` (destination index rebuilt)."""
-    _check_kind(data, "crawl-results")
-    crawl = CrawlResults(
-        tried=_field(data, "tried"),
-        open_at_crawl=_field(data, "open_at_crawl"),
-        connected=_field(data, "connected"),
-        failures=_taxonomy_from_dict(_field(data, "failures")),
-    )
-    for row in _field(data, "pages"):
-        crawl.add_page(_page_from_dict(row))
-    return crawl
-
-
-# -- scan results ------------------------------------------------------------ #
-
-
-def scan_to_dict(scan: ScanResults) -> Dict[str, Any]:
-    """Serialise a :class:`ScanResults` (sets sorted, outcomes by value)."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "scan-results",
-        "scanned_onions": scan.scanned_onions,
-        "descriptor_onions": sorted(scan.descriptor_onions),
-        "reachable_onions": sorted(scan.reachable_onions),
-        "open_ports": [
-            [onion, port, outcome.value]
-            for (onion, port), outcome in sorted(scan.open_ports.items())
-        ],
-        "timeouts": scan.timeouts,
-        "probes_answered": scan.probes_answered,
-        "failures": _taxonomy_to_dict(scan.failures),
-        "descriptor_refetches": scan.descriptor_refetches,
-    }
-
-
-def scan_from_dict(data: Dict[str, Any]) -> ScanResults:
-    """Inverse of :func:`scan_to_dict`."""
-    _check_kind(data, "scan-results")
-    scan = ScanResults(
-        scanned_onions=_field(data, "scanned_onions"),
-        descriptor_onions=set(_field(data, "descriptor_onions")),
-        reachable_onions=set(_field(data, "reachable_onions")),
-        timeouts=_field(data, "timeouts"),
-        probes_answered=_field(data, "probes_answered"),
-        failures=_taxonomy_from_dict(_field(data, "failures")),
-        descriptor_refetches=_field(data, "descriptor_refetches"),
-    )
-    for onion, port, outcome in _field(data, "open_ports"):
-        scan.open_ports[(onion, port)] = ConnectOutcome(outcome)
-    return scan
-
-
-# -- classification outcome -------------------------------------------------- #
-
-
-def classification_to_dict(outcome: ClassificationOutcome) -> Dict[str, Any]:
-    """Serialise a classify-stage :class:`ClassificationOutcome`."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "classification-outcome",
-        "language_counts": dict(outcome.language_counts),
-        "topic_counts": dict(outcome.topic_counts),
-        "torhost_default_count": outcome.torhost_default_count,
-        "english_pages": outcome.english_pages,
-        "classified_pages": outcome.classified_pages,
-        "page_languages": [
-            [onion, port, language]
-            for (onion, port), language in outcome.page_languages.items()
-        ],
-        "page_topics": [
-            [onion, port, topic]
-            for (onion, port), topic in outcome.page_topics.items()
-        ],
-    }
-
-
-def classification_from_dict(data: Dict[str, Any]) -> ClassificationOutcome:
-    """Inverse of :func:`classification_to_dict` (dict orders preserved)."""
-    _check_kind(data, "classification-outcome")
-    outcome = ClassificationOutcome()
-    outcome.language_counts = dict(_field(data, "language_counts"))
-    outcome.topic_counts = dict(_field(data, "topic_counts"))
-    outcome.torhost_default_count = _field(data, "torhost_default_count")
-    outcome.english_pages = _field(data, "english_pages")
-    outcome.classified_pages = _field(data, "classified_pages")
-    for onion, port, language in _field(data, "page_languages"):
-        outcome.page_languages[(onion, port)] = language
-    for onion, port, topic in _field(data, "page_topics"):
-        outcome.page_topics[(onion, port)] = topic
-    return outcome
-
-
-# -- request time series ----------------------------------------------------- #
-
-
-def timeseries_to_dict(series: RequestTimeSeries) -> Dict[str, Any]:
-    """Serialise a Section V :class:`RequestTimeSeries`."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "request-timeseries",
-        "start": series.start,
-        "bucket_seconds": series.bucket_seconds,
-        "counts": list(series.counts),
-    }
-
-
-def timeseries_from_dict(data: Dict[str, Any]) -> RequestTimeSeries:
-    """Inverse of :func:`timeseries_to_dict`."""
-    _check_kind(data, "request-timeseries")
-    return RequestTimeSeries(
-        start=_field(data, "start"),
-        bucket_seconds=_field(data, "bucket_seconds"),
-        counts=list(_field(data, "counts")),
-    )
-
-
-# -- files ------------------------------------------------------------------- #
+# -- files --------------------------------------------------------------------- #
 
 
 def save_json(data: Dict[str, Any], path: PathLike) -> None:
@@ -345,32 +307,3 @@ def save_json(data: Dict[str, Any], path: PathLike) -> None:
 def load_json(path: PathLike) -> Dict[str, Any]:
     """Read a serialised artifact from ``path``."""
     return json.loads(pathlib.Path(path).read_text())
-
-
-def _field(data: Dict[str, Any], name: str, what: str = "artifact") -> Any:
-    """``data[name]``, with a :class:`ReproError` (not KeyError) when absent."""
-    try:
-        return data[name]
-    except KeyError as exc:
-        raise ReproError(f"{what} is missing required field {name!r}") from exc
-    except TypeError as exc:
-        raise ReproError(f"{what} field {name!r} unreadable: {exc}") from exc
-
-
-def _check_kind(data: Dict[str, Any], expected: str) -> None:
-    kind = data.get("kind")
-    if kind != expected:
-        raise ReproError(f"expected artifact kind {expected!r}, got {kind!r}")
-    schema = data.get("schema")
-    if not isinstance(schema, int):
-        raise ReproError(f"artifact has no integer schema version: {schema!r}")
-    if schema > _SCHEMA_VERSION:
-        raise ReproError(
-            f"artifact schema version {schema} is newer than this build "
-            f"(reads up to {_SCHEMA_VERSION}); upgrade to load it"
-        )
-    if schema < _SCHEMA_VERSION:
-        raise ReproError(
-            f"unsupported schema version {schema!r} "
-            f"(this build reads {_SCHEMA_VERSION})"
-        )

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.crypto.onion import OnionAddress
+from repro.io import Header
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,15 @@ class RankedService:
 class PopularityRanking:
     """Sorted popularity table with label annotations."""
 
+    codec_header = Header("popularity-ranking")
+
     rows: List[RankedService] = field(default_factory=list)
-    _rank_by_onion: Dict[OnionAddress, int] = field(default_factory=dict)
+    _rank_by_onion: Dict[OnionAddress, int] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._rank_by_onion = {row.onion: row.rank for row in self.rows}
 
     @classmethod
     def from_counts(

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.crypto.descriptor_id import DescriptorId
 from repro.errors import ReproError
 from repro.hsdir.directory import HSDirServer
+from repro.io import Header
 from repro.sim.clock import HOUR, Timestamp
 
 try:  # numpy powers the packed-array kernels; the scalar path is complete
@@ -46,6 +47,8 @@ def _shape_statistics(
 @dataclass
 class RequestTimeSeries:
     """Request counts per fixed-width time bucket."""
+
+    codec_header = Header("request-timeseries")
 
     start: Timestamp
     bucket_seconds: int

@@ -8,6 +8,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.crypto.onion import OnionAddress
 from repro.faults.taxonomy import FailureTaxonomy
+from repro.io import SORTED_ROWS, Header
 from repro.net.endpoint import ConnectOutcome
 
 # The named bins of Fig 1, in the paper's order (top of the chart first).
@@ -26,6 +27,8 @@ FIG1_BINS: Tuple[Tuple[int, str], ...] = (
 class PortDistribution:
     """Fig 1: open-port counts per named bin plus 'other'."""
 
+    codec_header = Header("port-distribution")
+
     counts: Dict[str, int]
     unique_ports: int
     total_open: int
@@ -41,14 +44,17 @@ class PortDistribution:
 class ScanResults:
     """Everything the multi-day scan observed."""
 
+    codec_header = Header("scan-results")
+
     scanned_onions: int = 0
     # Onions whose descriptor was fetchable on at least one scan day (the
     # paper: descriptors were available for 24,511 of the 39,824 addresses).
     descriptor_onions: Set[OnionAddress] = field(default_factory=set)
     reachable_onions: Set[OnionAddress] = field(default_factory=set)
-    # (onion, port) -> outcome for every counts-as-open observation.
+    # (onion, port) -> outcome for every counts-as-open observation; its
+    # encoding sorts the rows (insertion order follows probe completion).
     open_ports: Dict[Tuple[OnionAddress, int], ConnectOutcome] = field(
-        default_factory=dict
+        default_factory=dict, metadata=SORTED_ROWS
     )
     timeouts: int = 0
     probes_answered: int = 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.crypto.onion import OnionAddress
+from repro.io import Header
 from repro.net.transport import TorTransport
 from repro.population.webserver import TlsCertificate
 from repro.sim.clock import Timestamp
@@ -43,6 +44,8 @@ def collect_certificates(
 @dataclass
 class CertificateAnalysis:
     """Aggregated certificate findings."""
+
+    codec_header = Header("certificate-analysis")
 
     total_certificates: int = 0
     self_signed_mismatch: int = 0

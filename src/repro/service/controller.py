@@ -29,6 +29,7 @@ from repro.obs.scope import Observer
 from repro.parallel import ShardQuarantine, resolve_workers
 from repro.service.config import ServiceConfig
 from repro.service.results import build_views
+from repro.service.schema import EpochViews
 from repro.store import ArtifactStore, Stage, digest_of
 from repro.supervise import (
     CompletenessManifest,
@@ -69,18 +70,6 @@ EPOCH_DURATION_BUCKETS: Tuple[float, ...] = (
 def epoch_run_id(epoch: int) -> str:
     """The pinned ledger run id for ``epoch`` (``epoch-NNNNNN``)."""
     return f"epoch-{epoch:06d}"
-
-
-def _views_to_payload(views: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Checkpoint encoding: the views are already plain JSON."""
-    return {"views": views}
-
-
-def _views_from_payload(data: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Inverse of :func:`_views_to_payload`."""
-    from repro.service.schema import check_views
-
-    return check_views(data["views"], where="views checkpoint")
 
 
 class ServiceEpochRun:
@@ -183,11 +172,7 @@ class ServiceEpochRun:
             scan = self.pipeline.scan()
             classification = self.pipeline.classify()
             self._bracket(stage_enter("views"))
-            stage = Stage(
-                name="views",
-                encode=_views_to_payload,
-                decode=_views_from_payload,
-            )
+            stage = Stage.of("views", EpochViews)
             config = {
                 "epoch": self.world.epoch,
                 "seed": self.world.seed,
@@ -202,12 +187,14 @@ class ServiceEpochRun:
             self._views = self.store.run(
                 stage,
                 config,
-                lambda: build_views(
-                    self.world,
-                    scan=scan,
-                    classification=classification,
-                    table2=table2,
-                    prev_views=self.prev_views,
+                lambda: EpochViews(
+                    build_views(
+                        self.world,
+                        scan=scan,
+                        classification=classification,
+                        table2=table2,
+                        prev_views=self.prev_views,
+                    )
                 ),
                 upstream=(
                     "harvest",
@@ -217,7 +204,7 @@ class ServiceEpochRun:
                     "classify",
                     "table2",
                 ),
-            )
+            ).views
             self._bracket(stage_exit("views"))
         return self._views
 

@@ -8,8 +8,8 @@ its ETag — is byte-stable across worker counts, fault profiles, crash
 restarts, and service-vs-batch execution.
 
 The builders accept live stage objects and store-replayed ones
-interchangeably: they only touch the fields the :mod:`repro.io` encoders
-round-trip (a crash-resumed epoch recomputes its views from decoded
+interchangeably: they only touch the fields the :mod:`repro.io` codec
+round-trips (a crash-resumed epoch recomputes its views from decoded
 artifacts and must land on the same bytes).
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro import io as repro_io
 from repro.experiments.pipeline import ClassificationOutcome
 from repro.experiments.table2_popularity import Table2Result
 from repro.scan import ScanResults
@@ -27,15 +28,7 @@ from repro.worldbuild import EpochWorld
 def ranking_view_body(table2: Table2Result) -> Dict[str, Any]:
     """The popularity ranking: Table II rows plus Section V totals."""
     return {
-        "rows": [
-            {
-                "rank": row.rank,
-                "requests": row.requests,
-                "onion": row.onion,
-                "description": row.description,
-            }
-            for row in table2.ranking.rows
-        ],
+        "rows": [repro_io.encode(row) for row in table2.ranking.rows],
         "total_requests_observed": table2.total_requests_observed,
         "unique_ids_observed": table2.unique_ids_observed,
     }

@@ -3,7 +3,8 @@
 Every body the service emits — query views, epoch listings, health and
 error responses — is wrapped in a schema-stamped envelope, exactly like
 the ``BENCH_*.json`` trajectories in :mod:`repro.bench.schema`: the
-version is the first thing a reader checks, and the strict loaders raise
+version is the first thing a reader checks, and the strict loaders — the
+one field/schema check of :mod:`repro.io` — raise
 :class:`~repro.errors.ServiceSchemaError` on drift instead of guessing.
 
 The envelope is also the service's unit of caching: a view envelope's
@@ -14,39 +15,17 @@ is both its CAS address and its HTTP ETag, so "the bytes changed" and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.errors import ServiceSchemaError
+from repro.io import check_field, check_schema
 
 #: Version stamped into every envelope; bump on layout change.
 SCHEMA_VERSION = 1
 
 #: The per-epoch query views the results layer materializes.
 VIEW_KINDS: Tuple[str, ...] = ("ranking", "ports", "topics", "dossiers", "delta")
-
-
-def _field(data: Mapping[str, Any], key: str, kinds, where: str):
-    if not isinstance(data, Mapping):
-        raise ServiceSchemaError(
-            f"{where}: expected an object, got {type(data).__name__}"
-        )
-    if key not in data:
-        raise ServiceSchemaError(f"{where}: missing field {key!r}")
-    value = data[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ServiceSchemaError(
-            f"{where}: field {key!r} has type {type(value).__name__}"
-        )
-    return value
-
-
-def _check_schema(data: Mapping[str, Any], where: str) -> None:
-    version = _field(data, "schema", int, where)
-    if version != SCHEMA_VERSION:
-        raise ServiceSchemaError(
-            f"{where}: schema version {version} does not match "
-            f"supported version {SCHEMA_VERSION}"
-        )
 
 
 def view_envelope(
@@ -69,14 +48,14 @@ def view_envelope(
 
 def check_view(data: Mapping[str, Any], where: str = "service view") -> Dict[str, Any]:
     """Strict decode of a view envelope (shape only, not body semantics)."""
-    _check_schema(data, where)
-    kind = _field(data, "kind", str, where)
+    check_schema(data, SCHEMA_VERSION, where, ServiceSchemaError)
+    kind = check_field(data, "kind", (str,), where, ServiceSchemaError)
     if kind not in VIEW_KINDS:
         raise ServiceSchemaError(f"{where}: unknown view kind {kind!r}")
-    _field(data, "epoch", int, where)
-    _field(data, "seed", int, where)
-    _field(data, "scale", (int, float), where)
-    _field(data, "body", dict, where)
+    check_field(data, "epoch", (int,), where, ServiceSchemaError)
+    check_field(data, "seed", (int,), where, ServiceSchemaError)
+    check_field(data, "scale", (int, float), where, ServiceSchemaError)
+    check_field(data, "body", (dict,), where, ServiceSchemaError)
     return dict(data)
 
 
@@ -84,13 +63,9 @@ def check_views(
     views: Mapping[str, Any], where: str = "service views"
 ) -> Dict[str, Dict[str, Any]]:
     """Strict decode of a full per-epoch view set (every kind present)."""
-    if not isinstance(views, Mapping):
-        raise ServiceSchemaError(
-            f"{where}: expected an object, got {type(views).__name__}"
-        )
     checked: Dict[str, Dict[str, Any]] = {}
     for kind in VIEW_KINDS:
-        entry = _field(views, kind, dict, where)
+        entry = check_field(views, kind, (dict,), where, ServiceSchemaError)
         view = check_view(entry, f"{where}[{kind}]")
         if view["kind"] != kind:
             raise ServiceSchemaError(
@@ -98,6 +73,16 @@ def check_views(
             )
         checked[kind] = view
     return checked
+
+
+@dataclass
+class EpochViews:
+    """The ``views`` stage checkpoint; :func:`check_views` runs on construction."""
+
+    views: Dict[str, Dict[str, Any]]
+
+    def __post_init__(self) -> None:
+        self.views = check_views(self.views, where="views checkpoint")
 
 
 def error_envelope(status: int, error: BaseException) -> Dict[str, Any]:

@@ -1,8 +1,9 @@
 """Stage checkpointing: the miss→compute→put / hit→load→restore wrapper.
 
 A :class:`Stage` names one pipeline step and the encode/decode pair that
-round-trips its artifact through JSON (supplied by the caller — the store never imports
-measurement code).  :meth:`ArtifactStore.run` then keys an execution on
+round-trips its artifact through JSON (the :mod:`repro.io` codec, or one
+supplied by the caller — the store never imports measurement code).
+:meth:`ArtifactStore.run` then keys an execution on
 the full :class:`~repro.store.keys.CacheKey` — configuration, code
 fingerprint, upstream artifact digests, and the pre-stage RNG cursor —
 and either replays the cached artifact or computes and records it.
@@ -16,11 +17,13 @@ leaving the world exactly as if the stage had run.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
+from repro import io as repro_io
 from repro.errors import ReproError, StoreError
 from repro.obs.scope import Observer, ensure_observer
 from repro.store.cas import ContentStore, atomic_write_bytes, canonical_json_bytes, digest_of
@@ -61,14 +64,21 @@ class StateCursor:
 class Stage:
     """One checkpointable pipeline step.
 
-    ``encode``/``decode`` round-trip the artifact through plain JSON
-    (usually a :mod:`repro.io` pair).  Every stage keys on the same
-    package-wide :func:`~repro.store.keys.code_fingerprint`.
+    ``encode``/``decode`` round-trip the artifact through plain JSON —
+    for a dataclass artifact, the one :mod:`repro.io` codec
+    (:meth:`of`).  Every stage keys on the same package-wide
+    :func:`~repro.store.keys.code_fingerprint`.
     """
 
     name: str
     encode: Callable[[Any], Dict[str, Any]]
     decode: Callable[[Dict[str, Any]], Any]
+
+    @classmethod
+    def of(cls, name: str, artifact: type) -> "Stage":
+        """The stage checkpointing dataclass ``artifact`` via :mod:`repro.io`."""
+        decode = functools.partial(repro_io.decode, artifact)
+        return cls(name=name, encode=repro_io.encode, decode=decode)
 
 
 class ArtifactStore:

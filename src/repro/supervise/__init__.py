@@ -11,7 +11,7 @@ plane defends, and ``repro crashtest`` asserts: a run that died N times
 and was resumed produces final artifacts **byte-identical** to a run
 that never died.
 
-Layering: supervise imports only substrate (errors, obs, parallel, sim)
+Layering: supervise imports only substrate (errors, io, obs, parallel, sim)
 and is imported only by the CLI and tests.  Lower layers receive the
 crash hook as a plain callable — they never import this package — and
 rule REP014 keeps everyone else from catching the simulated deaths.

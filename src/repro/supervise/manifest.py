@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from repro.errors import SupervisionError
+from repro.io import Header
 from repro.supervise.crashplan import CrashEvent
-
-_MANIFEST_SCHEMA = 1
 
 #: Stage status values a manifest may carry.
 STAGE_COMPLETE = "complete"
@@ -55,6 +54,8 @@ class StageStatus:
 class CompletenessManifest:
     """Everything a consumer needs to trust (or discount) a partial result."""
 
+    codec_header = Header("completeness-manifest", error=SupervisionError)
+
     stages: List[StageStatus] = field(default_factory=list)
     crashes: List[CrashEvent] = field(default_factory=list)
     restarts_used: int = 0
@@ -84,70 +85,6 @@ class CompletenessManifest:
             for stage in self.stages
             if stage.status == STAGE_COMPLETE
         ]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible encoding (the artifact CI uploads)."""
-        return {
-            "schema": _MANIFEST_SCHEMA,
-            "kind": "completeness-manifest",
-            "stages": [
-                {
-                    "name": stage.name,
-                    "status": stage.status,
-                    "sim_seconds": stage.sim_seconds,
-                }
-                for stage in self.stages
-            ],
-            "crashes": [
-                {"point": event.point, "visit": event.visit}
-                for event in self.crashes
-            ],
-            "restarts_used": self.restarts_used,
-            "backoff_sim_seconds": self.backoff_sim_seconds,
-            "quarantined_items": list(self.quarantined_items),
-            "degraded": self.degraded,
-            "reason": self.reason,
-            "crash_plan": dict(self.crash_plan),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CompletenessManifest":
-        """Inverse of :meth:`to_dict`; strict about kind and schema."""
-        if data.get("kind") != "completeness-manifest":
-            raise SupervisionError(
-                f"not a completeness manifest: kind={data.get('kind')!r}"
-            )
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema > _MANIFEST_SCHEMA:
-            raise SupervisionError(
-                f"unsupported completeness-manifest schema: {schema!r}"
-            )
-        try:
-            manifest = cls(
-                stages=[
-                    StageStatus(
-                        name=entry["name"],
-                        status=entry["status"],
-                        sim_seconds=int(entry.get("sim_seconds", 0)),
-                    )
-                    for entry in data["stages"]
-                ],
-                crashes=[
-                    CrashEvent(point=entry["point"], visit=int(entry["visit"]))
-                    for entry in data["crashes"]
-                ],
-                restarts_used=int(data["restarts_used"]),
-                backoff_sim_seconds=int(data.get("backoff_sim_seconds", 0)),
-                quarantined_items=list(data.get("quarantined_items", [])),
-                degraded=bool(data["degraded"]),
-                reason=str(data.get("reason", REASON_NONE)),
-                crash_plan=dict(data.get("crash_plan", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SupervisionError(
-                f"completeness manifest is malformed: {exc}"
-            ) from exc
-        return manifest
 
     def summary_lines(self) -> List[str]:
         """Human-readable rendering (the CLI prints these)."""

@@ -59,14 +59,10 @@ def pipeline_artifacts(
         # Content addresses of the four checkpointed stage artifacts: the
         # store's encoding of each, pinned byte-for-byte through its digest.
         "store_payloads": {
-            "scan": digest_of(repro_io.scan_to_dict(pipeline.scan())),
-            "certificates": digest_of(
-                repro_io.certificates_to_dict(pipeline.certificates())
-            ),
-            "crawl": digest_of(repro_io.crawl_to_dict(pipeline.crawl())),
-            "classify": digest_of(
-                repro_io.classification_to_dict(pipeline.classify())
-            ),
+            "scan": digest_of(repro_io.encode(pipeline.scan())),
+            "certificates": digest_of(repro_io.encode(pipeline.certificates())),
+            "crawl": digest_of(repro_io.encode(pipeline.crawl())),
+            "classify": digest_of(repro_io.encode(pipeline.classify())),
         },
     }
 
@@ -79,8 +75,8 @@ def faulted_pipeline_artifacts(workers: Optional[int] = None) -> dict:
 def table2_artifact(workers: Optional[int] = None) -> dict:
     """Table II report + ranking text for the tiny sweep, plus the digest
     of the store payload the same run would checkpoint."""
+    from repro import io as repro_io
     from repro.experiments import run_table2
-    from repro.experiments.table2_popularity import _table2_to_payload
     from repro.store import digest_of
 
     result = run_table2(
@@ -95,7 +91,7 @@ def table2_artifact(workers: Optional[int] = None) -> dict:
         "table2_small": (
             result.report.format() + "\n\n" + result.ranking.format_table(limit=20)
         ),
-        "store_payload": digest_of(_table2_to_payload(result)),
+        "store_payload": digest_of(repro_io.encode(result)),
     }
 
 
@@ -150,20 +146,15 @@ def _golden_bench_schema() -> str:
     byte-identical on every machine, which is the contract that makes
     committed trajectories diffable.
     """
-    from repro.bench import (
-        Trajectory,
-        canonical_json,
-        run_workload,
-        strip_timing,
-        trajectory_to_dict,
-    )
+    from repro import io as repro_io
+    from repro.bench import Trajectory, canonical_json, run_workload, strip_timing
 
     trajectory = Trajectory(name="toy")
     for kernel in ("scalar", "batch"):
         trajectory.points.append(
             run_workload("toy", "smoke", kernel, repeats=1, warmup=0, label="golden")
         )
-    return canonical_json(strip_timing(trajectory_to_dict(trajectory))).rstrip("\n")
+    return canonical_json(strip_timing(repro_io.encode(trajectory))).rstrip("\n")
 
 
 GOLDEN_CASES = {

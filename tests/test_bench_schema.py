@@ -10,17 +10,14 @@ from repro.bench import (
     append_point,
     canonical_json,
     load_trajectory,
-    record_from_dict,
-    record_to_dict,
     render_trajectory_text,
     run_workload,
     strip_timing,
-    trajectory_from_dict,
     trajectory_path,
-    trajectory_to_dict,
     write_trajectory,
 )
 from repro.errors import BenchError, BenchSchemaError
+from repro.io import decode, encode
 from repro.obs import Observer
 
 
@@ -51,40 +48,40 @@ def make_record(**overrides) -> BenchRecord:
 class TestSchemaRoundTrip:
     def test_record_round_trips(self):
         record = make_record()
-        assert record_from_dict(record_to_dict(record)) == record
+        assert decode(BenchRecord, encode(record)) == record
 
     def test_trajectory_round_trips(self):
         trajectory = Trajectory(
             name="toy", points=[make_record(), make_record(kernel="scalar")]
         )
-        decoded = trajectory_from_dict(trajectory_to_dict(trajectory))
+        decoded = decode(Trajectory, encode(trajectory))
         assert decoded.name == "toy"
         assert decoded.points == trajectory.points
 
     def test_missing_field_rejected(self):
-        data = record_to_dict(make_record())
+        data = encode(make_record())
         del data["checksum"]
         with pytest.raises(BenchSchemaError, match="checksum"):
-            record_from_dict(data)
+            decode(BenchRecord, data)
 
     def test_wrong_type_rejected(self):
-        data = record_to_dict(make_record())
+        data = encode(make_record())
         data["items"] = "sixty-four"
         with pytest.raises(BenchSchemaError, match="items"):
-            record_from_dict(data)
+            decode(BenchRecord, data)
 
     def test_schema_version_mismatch_rejected(self):
-        data = trajectory_to_dict(Trajectory(name="toy", points=[make_record()]))
+        data = encode(Trajectory(name="toy", points=[make_record()]))
         data["schema"] = SCHEMA_VERSION + 1
         with pytest.raises(BenchSchemaError, match="schema version"):
-            trajectory_from_dict(data)
+            decode(Trajectory, data)
 
     def test_empty_trajectory_has_no_last(self):
         with pytest.raises(BenchSchemaError, match="no points"):
             Trajectory(name="toy").last
 
     def test_strip_timing_removes_every_wall_block(self):
-        data = trajectory_to_dict(
+        data = encode(
             Trajectory(name="toy", points=[make_record(), make_record()])
         )
         cleaned = strip_timing(data)
@@ -99,7 +96,7 @@ class TestSchemaRoundTrip:
 class TestRunnerPolicy:
     def test_run_produces_schema_valid_record(self):
         record = run_workload("toy", "smoke", "batch", repeats=2, warmup=0)
-        assert record_from_dict(record_to_dict(record)) == record
+        assert decode(BenchRecord, encode(record)) == record
         assert len(record.wall.per_repeat_seconds) == 2
         assert record.wall.min_seconds <= record.wall.mean_seconds
         assert record.wall.mean_seconds <= record.wall.max_seconds

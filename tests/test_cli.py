@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.io import load_json, report_from_dict
+from repro.analysis.report import ExperimentReport
+from repro.io import decode, load_json
 
 
 class TestParser:
@@ -46,7 +47,7 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "fig1-open-ports" in out
         assert "55080-Skynet" in out
-        report = report_from_dict(load_json(json_path))
+        report = decode(ExperimentReport, load_json(json_path))
         assert report.experiment == "fig1-open-ports"
 
     def test_harvest_runs(self, capsys):
@@ -77,7 +78,6 @@ class TestCrashtest:
     def test_crashtest_survives_the_moderate_schedule(
         self, tmp_path, capsys, monkeypatch
     ):
-        from repro.io import load_json
         from repro.supervise import CRASHES_ENV, CompletenessManifest
 
         monkeypatch.delenv(CRASHES_ENV, raising=False)
@@ -107,7 +107,7 @@ class TestCrashtest:
         assert "byte-identical" in out
         # The archived documents are what CI byte-compares.
         assert crash_json.read_bytes() == clean_json.read_bytes()
-        manifest = CompletenessManifest.from_dict(load_json(manifest_json))
+        manifest = decode(CompletenessManifest, load_json(manifest_json))
         assert manifest.complete
         assert len(manifest.crashes) >= 5
         assert len({e.point for e in manifest.crashes}) >= 5

@@ -248,6 +248,19 @@ class TestRep006Layering:
         assert "layer violation" in findings[0].message
 
 
+    def test_codec_importing_a_measurement_layer_is_a_violation(self, tmp_path):
+        write_package(
+            tmp_path / "pkg",
+            {
+                "io.py": "from pkg.experiments import pipeline\n",
+                "experiments/pipeline.py": "X = 1\n",
+            },
+        )
+        findings = run_lint([str(tmp_path / "pkg")], rule_ids=["REP006"]).findings
+        assert len(findings) == 1
+        assert "layer violation: io module pkg.io" in findings[0].message
+
+
 class TestRep007RawConcurrency:
     @pytest.mark.parametrize(
         "source",

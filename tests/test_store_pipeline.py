@@ -42,8 +42,8 @@ def warm_root(tmp_path_factory, storeless_outcome):
     pipeline = make_pipeline(ArtifactStore(root))
     pipeline.certificates()
     cold = pipeline.classify()
-    assert canonical(repro_io.classification_to_dict(cold)) == canonical(
-        repro_io.classification_to_dict(storeless_outcome)
+    assert canonical(repro_io.encode(cold)) == canonical(
+        repro_io.encode(storeless_outcome)
     )
     return root
 
@@ -59,8 +59,8 @@ class TestWarmEqualsCold:
         summary = store.ledger.run_summaries()[-1]
         assert summary["misses"] == 0
         assert summary["hits"] == 4  # scan, certificates, crawl, classify
-        assert canonical(repro_io.classification_to_dict(warm)) == canonical(
-            repro_io.classification_to_dict(storeless_outcome)
+        assert canonical(repro_io.encode(warm)) == canonical(
+            repro_io.encode(storeless_outcome)
         )
 
     def test_certificates_replay_too(self, warm_root):
@@ -90,8 +90,8 @@ class TestMixedWarmCold:
             if e["run"] == store.run_id
         }
         assert events == {"scan": "hit", "crawl": "miss", "classify": "miss"}
-        assert canonical(repro_io.classification_to_dict(mixed)) == canonical(
-            repro_io.classification_to_dict(storeless_outcome)
+        assert canonical(repro_io.encode(mixed)) == canonical(
+            repro_io.encode(storeless_outcome)
         )
 
 
@@ -114,7 +114,7 @@ class TestWorkerCount:
             if e["stage"] == "scan" and e["event"] == "miss"
         )
         serial_artifact = store.cas.get(serial_object)["artifact"]
-        assert canonical(repro_io.scan_to_dict(scan8)) == canonical(serial_artifact)
+        assert canonical(repro_io.encode(scan8)) == canonical(serial_artifact)
 
 
 class TestFaultedProfile:
@@ -126,8 +126,8 @@ class TestFaultedProfile:
         store = ArtifactStore(root)
         warm = make_pipeline(store, profile="moderate").classify()
         assert store.ledger.run_summaries()[-1]["misses"] == 0
-        assert canonical(repro_io.classification_to_dict(warm)) == canonical(
-            repro_io.classification_to_dict(cold)
+        assert canonical(repro_io.encode(warm)) == canonical(
+            repro_io.encode(cold)
         )
 
     def test_fault_profile_is_part_of_the_key(self, warm_root):

@@ -9,6 +9,7 @@ the real ``MeasurementPipeline`` lives in test_supervise_equivalence.py.
 import pytest
 
 from repro.errors import SupervisionError
+from repro.io import decode, encode
 from repro.obs.scope import Observer
 from repro.supervise import (
     REASON_DEADLINE,
@@ -283,8 +284,8 @@ class TestManifest:
 
     def test_round_trips_through_dict(self):
         manifest = self.make_manifest()
-        again = CompletenessManifest.from_dict(manifest.to_dict())
-        assert again.to_dict() == manifest.to_dict()
+        again = decode(CompletenessManifest, encode(manifest))
+        assert encode(again) == encode(manifest)
 
     def test_complete_requires_everything(self):
         manifest = CompletenessManifest(
@@ -295,17 +296,17 @@ class TestManifest:
         assert not manifest.complete
 
     def test_from_dict_rejects_wrong_kind_and_schema(self):
-        good = self.make_manifest().to_dict()
+        good = encode(self.make_manifest())
         with pytest.raises(SupervisionError):
-            CompletenessManifest.from_dict({**good, "kind": "something-else"})
+            decode(CompletenessManifest, {**good, "kind": "something-else"})
         with pytest.raises(SupervisionError):
-            CompletenessManifest.from_dict({**good, "schema": 99})
+            decode(CompletenessManifest, {**good, "schema": 99})
 
     def test_from_dict_rejects_malformed_stage(self):
-        good = self.make_manifest().to_dict()
+        good = encode(self.make_manifest())
         bad = {**good, "stages": [{"status": "complete"}]}
         with pytest.raises(SupervisionError):
-            CompletenessManifest.from_dict(bad)
+            decode(CompletenessManifest, bad)
 
     def test_unknown_stage_status_rejected(self):
         with pytest.raises(SupervisionError):
