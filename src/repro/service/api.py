@@ -11,6 +11,9 @@ Caching: a view's ETag is its content digest, quoted per RFC 9110.  A
 conditional ``If-None-Match`` request that matches returns 304 with an
 empty body — concurrent readers of an unchanged epoch cost one digest
 comparison, not a serialization.
+
+``HEAD`` is routed exactly like ``GET``; the HTTP front-end drops the
+body.  Any other method gets a 405 with ``Allow: GET, HEAD``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from repro.service.schema import SCHEMA_VERSION, VIEW_KINDS, error_envelope
 from repro.store import digest_of
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
+
+#: The methods every route serves (RFC 9110 §15.5.6 ``Allow`` value).
+ALLOWED_METHODS = ("GET", "HEAD")
 
 
 @dataclass(frozen=True)
@@ -129,12 +135,14 @@ class ServiceRouter:
             headers={"ETag": etag, "Content-Type": JSON_CONTENT_TYPE},
         )
 
-    def _error(self, status: int, error: ReproError) -> Response:
+    def _error(
+        self, status: int, error: ReproError, **headers: str
+    ) -> Response:
         self._count("service_errors_total", status=status)
         return Response(
             status=status,
             body=_encode(error_envelope(status, error)),
-            headers={"Content-Type": JSON_CONTENT_TYPE},
+            headers={"Content-Type": JSON_CONTENT_TYPE, **headers},
         )
 
     # -- routes ------------------------------------------------------------ #
@@ -193,9 +201,12 @@ class ServiceRouter:
         """Serve one request; never raises (errors become envelopes)."""
         headers = headers if headers is not None else {}
         self._count("service_requests_total", method=method)
-        if method != "GET":
+        if method not in ALLOWED_METHODS:
+            allowed = ", ".join(ALLOWED_METHODS)
             return self._error(
-                405, ServiceError(f"method {method} not allowed; use GET")
+                405,
+                ServiceError(f"method {method} not allowed; use {allowed}"),
+                Allow=allowed,
             )
         try:
             path = path.split("?", 1)[0].rstrip("/") or "/"

@@ -54,11 +54,15 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
-        if response.body:
+        # HEAD: the GET response's status and headers, never its body.
+        if response.body and method != "HEAD":
             self.wfile.write(response.body)
 
     def do_GET(self) -> None:
         self._respond("GET")
+
+    def do_HEAD(self) -> None:
+        self._respond("HEAD")
 
     def do_POST(self) -> None:
         self._respond("POST")

@@ -193,3 +193,12 @@ class TestErrorTaxonomy:
         assert response.status == 405
         body = json.loads(response.body.decode("utf-8"))
         assert body["error"]["type"] == "ServiceError"
+
+    def test_405_names_the_allowed_methods(self, service_controller):
+        router = ServiceRouter(service_controller.records)
+        response = router.handle("DELETE", "/healthz")
+        assert response.status == 405
+        assert response.headers["Allow"] == "GET, HEAD"
+        etag = router.handle("GET", "/v1/epochs/0/ranking").headers["ETag"]
+        head = router.handle("HEAD", "/v1/epochs/0/ranking", {"If-None-Match": etag})
+        assert head.status == 304

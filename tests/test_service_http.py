@@ -32,11 +32,11 @@ def live_server(service_controller):
         thread.join(timeout=5)
 
 
-def fetch(server, path, headers=None):
+def fetch(server, path, headers=None, method="GET"):
     host, port = server.server_address[:2]
     connection = http.client.HTTPConnection(host, port, timeout=10)
     try:
-        connection.request("GET", path, headers=headers or {})
+        connection.request(method, path, headers=headers or {})
         response = connection.getresponse()
         return response.status, dict(response.getheaders()), response.read()
     finally:
@@ -81,6 +81,14 @@ class TestLiveServer:
             "GET", "/v1/epochs/latest/delta"
         )
         assert body == in_process.body
+
+    @pytest.mark.parametrize("path", ["/healthz", "/v1/epochs/0/ranking"])
+    def test_head_sends_get_headers_without_a_body(self, live_server, path):
+        get_status, get_headers, get_body = fetch(live_server, path)
+        status, headers, body = fetch(live_server, path, method="HEAD")
+        assert (status, headers) == (get_status, get_headers)
+        assert int(headers["Content-Length"]) == len(get_body) > 0
+        assert body == b""
 
     def test_concurrent_requests_all_succeed(self, live_server):
         results = []
