@@ -149,7 +149,7 @@ def _first_field(data):
 
 def _wrong_type(value):
     """A JSON value of another type (a bool where an int is declared)."""
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, (bool, float)):
         return "x"
     if isinstance(value, int):
         return True
